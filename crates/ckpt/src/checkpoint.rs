@@ -1,5 +1,7 @@
 //! Retained checkpoint records.
 
+use std::sync::Arc;
+
 use acr_sim::CoreSnapshot;
 use acr_trace::Fnv1a;
 
@@ -21,8 +23,9 @@ pub struct CheckpointRecord {
     /// a single full mask under the global scheme.
     pub groups: Vec<u64>,
     /// Shadow copy of functional memory (oracle only; zero simulated
-    /// cost).
-    pub shadow_mem: Option<Vec<u64>>,
+    /// cost). Shared: the engine snapshots that fault campaigns fork
+    /// cases from hold the same images instead of copies.
+    pub shadow_mem: Option<Arc<[u64]>>,
     /// Integrity checksum over the architectural snapshot and epoch
     /// binding, sealed when the commit completes. A crash inside the
     /// commit window leaves a generation whose stored checksum no longer
@@ -105,7 +108,7 @@ mod tests {
         ckpt.seal();
         assert!(ckpt.verify());
         // Shadow memory is oracle-only: attaching it does not invalidate.
-        ckpt.shadow_mem = Some(vec![1, 2, 3]);
+        ckpt.shadow_mem = Some(vec![1, 2, 3].into());
         assert!(ckpt.verify());
         // A torn commit leaves arch state inconsistent with the checksum.
         ckpt.arch[1].regs[7] ^= 1 << 42;

@@ -4,8 +4,8 @@ use std::collections::VecDeque;
 
 use acr_mem::{CoreId, LogController, LogEpoch, WordAddr, LOG_RECORD_BYTES};
 use acr_sim::{
-    AssocEvent, ExecHooks, Fault, FaultKind, Machine, RecoveryFault, RecoveryFaultKind, RunOutcome,
-    SimError, StoreEvent, TICKS_PER_CYCLE,
+    AssocEvent, ExecHooks, Fault, FaultKind, Machine, MachineState, RecoveryFault,
+    RecoveryFaultKind, RunOutcome, SimError, StoreEvent, TICKS_PER_CYCLE,
 };
 use acr_trace::{TraceEvent, TRACK_ENGINE};
 
@@ -154,6 +154,42 @@ struct ErrState {
     handled: bool,
 }
 
+/// The per-error tracking state `cfg` defines: one entry per real fault
+/// when `cfg.faults` is non-empty, otherwise one per phantom occurrence
+/// of the error schedule.
+fn error_states(cfg: &BerConfig, num_cores: u32) -> Vec<ErrState> {
+    if cfg.faults.is_empty() {
+        cfg.errors
+            .occurrences
+            .iter()
+            .enumerate()
+            .map(|(i, &occur)| ErrState {
+                occur,
+                core: i as u32 % num_cores,
+                kind: None,
+                latency: cfg.errors.detection_latency,
+                occurred: false,
+                handled: false,
+            })
+            .collect()
+    } else {
+        cfg.faults
+            .iter()
+            .map(|f| ErrState {
+                occur: f.at_progress,
+                core: f.core.0 % num_cores,
+                kind: Some(f.kind),
+                latency: match f.kind {
+                    FaultKind::Crash => 0,
+                    _ => cfg.errors.detection_latency,
+                },
+                occurred: false,
+                handled: false,
+            })
+            .collect()
+    }
+}
+
 /// The store/assoc instrumentation the engine attaches to the machine.
 struct CkptHooks<P> {
     logctl: LogController,
@@ -206,6 +242,37 @@ impl<P: OmissionPolicy> ExecHooks for CkptHooks<P> {
     fn on_assoc(&mut self, ev: AssocEvent) -> u64 {
         let epoch = self.logctl.current().index;
         self.policy.on_assoc(&ev, epoch)
+    }
+}
+
+/// An engine's state at a checkpoint commit, captured by
+/// [`BerEngine::snapshot`] and rewound to by [`BerEngine::restore`].
+/// Oracle shadow images are shared with the engine it came from, and the
+/// machine's memory image is the newest shadow, so a snapshot costs the
+/// caches' occupied ways, the directory, the log, the report and the
+/// policy's own snapshot — not another image.
+pub struct EngineSnapshot<P> {
+    machine: MachineState,
+    checkpoints: VecDeque<CheckpointRecord>,
+    logctl: LogController,
+    report: BerReport,
+    omission_lookups: u64,
+    ledger: Option<Box<DecisionLedger>>,
+    degraded: bool,
+    policy: P,
+    next_trigger: Option<u64>,
+}
+
+impl<P> EngineSnapshot<P> {
+    /// Progress (retired instructions) of the newest checkpoint.
+    pub fn progress(&self) -> u64 {
+        self.checkpoints.back().map_or(0, |c| c.progress)
+    }
+
+    /// The trigger of the commit after this one (`None` past the last
+    /// trigger).
+    pub fn next_trigger(&self) -> Option<u64> {
+        self.next_trigger
     }
 }
 
@@ -299,37 +366,7 @@ impl<'p, P: OmissionPolicy> BerEngine<'p, P> {
             machine.mem().image().num_words(),
             1 + cfg.resilience.generations as usize,
         );
-        let num_cores = machine.cores().len() as u32;
-        let errors: Vec<ErrState> = if cfg.faults.is_empty() {
-            cfg.errors
-                .occurrences
-                .iter()
-                .enumerate()
-                .map(|(i, &occur)| ErrState {
-                    occur,
-                    core: i as u32 % num_cores,
-                    kind: None,
-                    latency: cfg.errors.detection_latency,
-                    occurred: false,
-                    handled: false,
-                })
-                .collect()
-        } else {
-            cfg.faults
-                .iter()
-                .map(|f| ErrState {
-                    occur: f.at_progress,
-                    core: f.core.0 % num_cores,
-                    kind: Some(f.kind),
-                    latency: match f.kind {
-                        FaultKind::Crash => 0,
-                        _ => cfg.errors.detection_latency,
-                    },
-                    occurred: false,
-                    handled: false,
-                })
-                .collect()
-        };
+        let errors = error_states(&cfg, machine.cores().len() as u32);
         let mut initial = CheckpointRecord {
             begins_epoch: 0,
             progress: 0,
@@ -337,7 +374,9 @@ impl<'p, P: OmissionPolicy> BerEngine<'p, P> {
             check: 0,
             arch: machine.snapshot_arch(),
             groups: vec![machine.all_mask()],
-            shadow_mem: cfg.oracle.then(|| machine.mem().image().snapshot()),
+            shadow_mem: cfg
+                .oracle
+                .then(|| machine.mem().image().shared_snapshot(None)),
         };
         initial.seal();
         let mut checkpoints = VecDeque::with_capacity(retained_checkpoints + 1);
@@ -425,15 +464,84 @@ impl<'p, P: OmissionPolicy> BerEngine<'p, P> {
         &self.report
     }
 
-    fn next_stop(&self) -> u64 {
+    /// The trigger of the next checkpoint commit: the first trigger past
+    /// the newest checkpoint's progress (`None` once none is left).
+    fn next_trigger(&self) -> Option<u64> {
         let last_ckpt = self.checkpoints.back().map(|c| c.progress).unwrap_or(0);
-        let trig = self
-            .cfg
-            .triggers
-            .iter()
-            .copied()
-            .find(|&t| t > last_ckpt)
-            .unwrap_or(u64::MAX);
+        self.cfg.triggers.iter().copied().find(|&t| t > last_ckpt)
+    }
+
+    /// Captures the engine's complete state for prefix sharing: the
+    /// machine ([`Machine::save_state`]), retained checkpoint records, log
+    /// controller, report so far, invariant tallies, ledger and policy
+    /// ([`OmissionPolicy::fork`]). Returns `None` when the policy declines
+    /// to fork. The error plan is not state: [`Self::restore`] resets it
+    /// and [`Self::install_faults`] sets the next one.
+    ///
+    /// Meant for checkpoint commit boundaries (and the start), where the
+    /// memory image equals the newest checkpoint's oracle shadow: the
+    /// snapshot then shares that shadow instead of copying the image.
+    pub fn snapshot(&self) -> Option<EngineSnapshot<P>> {
+        let policy = self.hooks.policy.fork()?;
+        let image = self
+            .checkpoints
+            .back()
+            .and_then(|c| c.shadow_mem.as_ref())
+            .filter(|shadow| shadow[..] == *self.machine.mem().image().words())
+            .cloned();
+        Some(EngineSnapshot {
+            machine: self.machine.save_state(image),
+            checkpoints: self.checkpoints.clone(),
+            logctl: self.hooks.logctl.clone(),
+            report: self.report.clone(),
+            omission_lookups: self.hooks.omission_lookups,
+            ledger: self.hooks.ledger.clone(),
+            degraded: self.hooks.degraded,
+            policy,
+            next_trigger: self.next_trigger(),
+        })
+    }
+
+    /// Rewinds the engine to `snap`, taken by [`Self::snapshot`] from an
+    /// engine over the same program and configuration. The machine keeps
+    /// its trace sink; the error plan is reset to the configuration's
+    /// phantom schedule with no faults (see [`Self::install_faults`]).
+    pub fn restore(&mut self, snap: &EngineSnapshot<P>) {
+        self.machine.restore_state(&snap.machine);
+        self.checkpoints.clone_from(&snap.checkpoints);
+        self.hooks.logctl.clone_from(&snap.logctl);
+        self.report.clone_from(&snap.report);
+        self.hooks.omission_lookups = snap.omission_lookups;
+        self.hooks.ledger.clone_from(&snap.ledger);
+        self.hooks.degraded = snap.degraded;
+        self.hooks.policy.restore(&snap.policy);
+        self.install_faults(Vec::new(), Vec::new());
+    }
+
+    /// Replaces the fault plan — [`BerConfig::faults`] and the
+    /// recovery-window faults of [`ResilienceConfig::recovery_faults`] —
+    /// before the run continues. Forked fault cases install their plan
+    /// right after [`Self::restore`]; faults must not have landed yet
+    /// (every `at_progress` past the restored commit, or exactly at its
+    /// trigger).
+    ///
+    /// # Panics
+    ///
+    /// Panics if recovery faults are planned under the local scheme (see
+    /// [`Self::new`]).
+    pub fn install_faults(&mut self, faults: Vec<Fault>, recovery_faults: Vec<RecoveryFault>) {
+        assert!(
+            recovery_faults.is_empty() || self.cfg.scheme == Scheme::GlobalCoordinated,
+            "recovery faults require the global coordinated scheme"
+        );
+        self.cfg.faults = faults;
+        self.pending_recovery_faults.clone_from(&recovery_faults);
+        self.cfg.resilience.recovery_faults = recovery_faults;
+        self.errors = error_states(&self.cfg, self.machine.cores().len() as u32);
+    }
+
+    fn next_stop(&self) -> u64 {
+        let trig = self.next_trigger().unwrap_or(u64::MAX);
         let occur = self
             .errors
             .iter()
@@ -457,6 +565,39 @@ impl<'p, P: OmissionPolicy> BerEngine<'p, P> {
     ///
     /// Propagates [`SimError`] from the simulator.
     pub fn run_to_completion(&mut self) -> Result<BerReport, SimError> {
+        self.drive(false)?;
+        // Final sample so short runs with a coarse interval still carry at
+        // least one counter snapshot.
+        self.publish_ckpt_metrics();
+        self.machine.force_sample();
+        let mut report = std::mem::take(&mut self.report);
+        report.cycles = self.machine.cycles();
+        report.sim = *self.machine.stats();
+        report.mem = *self.machine.mem().stats();
+        report.series = self.machine.take_series();
+        Ok(report)
+    }
+
+    /// Runs until the next checkpoint commits — the step a fault-free
+    /// prefix-sharing driver walks commits with. Returns `Ok(false)` if
+    /// execution finished without another commit. Stopping right after a
+    /// commit and later resuming with [`Self::run_to_completion`] (or this
+    /// method again) is exactly equivalent to running straight through:
+    /// every event still pending at the commit makes the resumed run's
+    /// first machine segment empty, so it is processed before any
+    /// instruction retires.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`SimError`] from the simulator.
+    pub fn run_to_next_commit(&mut self) -> Result<bool, SimError> {
+        self.drive(true)
+    }
+
+    /// The run loop. With `stop_at_commit`, returns `Ok(true)` right after
+    /// the next checkpoint commits; otherwise (and when execution ends
+    /// first) returns `Ok(false)` at the end of execution.
+    fn drive(&mut self, stop_at_commit: bool) -> Result<bool, SimError> {
         loop {
             let stop = self.next_stop();
             let out = match self.machine.run(&mut self.hooks, stop) {
@@ -496,17 +637,20 @@ impl<'p, P: OmissionPolicy> BerEngine<'p, P> {
                     .filter(|(_, e)| e.occurred && !e.handled && e.occur + e.latency <= progress)
                     .min_by_key(|(_, e)| e.occur)
                     .map(|(i, e)| (i, e.occur + e.latency));
-                match (trig, detect) {
-                    (Some(t), Some((ei, d))) => {
-                        if t <= d {
-                            self.do_checkpoint();
-                        } else {
-                            self.do_recovery(ei)?;
+                let recover = match (trig, detect) {
+                    (Some(t), Some((ei, d))) => (t > d).then_some(ei),
+                    (Some(_), None) => None,
+                    (None, Some((ei, _))) => Some(ei),
+                    (None, None) => break,
+                };
+                match recover {
+                    Some(ei) => self.do_recovery(ei)?,
+                    None => {
+                        self.do_checkpoint();
+                        if stop_at_commit {
+                            return Ok(true);
                         }
                     }
-                    (Some(_), None) => self.do_checkpoint(),
-                    (None, Some((ei, _))) => self.do_recovery(ei)?,
-                    (None, None) => break,
                 }
                 self.mark_occurrences();
             }
@@ -516,19 +660,9 @@ impl<'p, P: OmissionPolicy> BerEngine<'p, P> {
                     self.do_recovery(ei)?;
                     continue;
                 }
-                break;
+                return Ok(false);
             }
         }
-        // Final sample so short runs with a coarse interval still carry at
-        // least one counter snapshot.
-        self.publish_ckpt_metrics();
-        self.machine.force_sample();
-        let mut report = std::mem::take(&mut self.report);
-        report.cycles = self.machine.cycles();
-        report.sim = *self.machine.stats();
-        report.mem = *self.machine.mem().stats();
-        report.series = self.machine.take_series();
-        Ok(report)
     }
 
     /// Refreshes the engine-owned `ckpt.*` keys in the machine's unified
@@ -819,6 +953,12 @@ impl<'p, P: OmissionPolicy> BerEngine<'p, P> {
         let mem = self.machine.mem_mut().stats_mut();
         mem.log_record_writes += records + arch_bytes / LOG_RECORD_BYTES;
 
+        // Retire the oldest generation first: its oracle shadow, unless an
+        // engine snapshot still shares it, becomes the new one's buffer.
+        let mut spare = None;
+        while self.checkpoints.len() >= self.retained_checkpoints {
+            spare = self.checkpoints.pop_front().and_then(|c| c.shadow_mem);
+        }
         let progress = self.machine.total_retired();
         let mut record = CheckpointRecord {
             begins_epoch: sealed_index + 1,
@@ -830,13 +970,10 @@ impl<'p, P: OmissionPolicy> BerEngine<'p, P> {
             shadow_mem: self
                 .cfg
                 .oracle
-                .then(|| self.machine.mem().image().snapshot()),
+                .then(|| self.machine.mem().image().shared_snapshot(spare)),
         };
         record.seal();
         self.checkpoints.push_back(record);
-        while self.checkpoints.len() > self.retained_checkpoints {
-            self.checkpoints.pop_front();
-        }
         self.hooks.policy.on_checkpoint(sealed_index);
         self.machine.mem_mut().sharing_new_interval();
         // A clean commit closes any degraded window: the new generation's
@@ -1201,7 +1338,7 @@ impl<'p, P: OmissionPolicy> BerEngine<'p, P> {
                     } else {
                         assert_eq!(
                             self.machine.mem().image().words(),
-                            shadow.as_slice(),
+                            &shadow[..],
                             "recovered memory image differs from the safe checkpoint"
                         );
                     }

@@ -6,11 +6,14 @@
 //! 1. a seeded [`FaultPlan`] picks injection points, target cores and
 //!    corruption kinds — no wall clock, no OS randomness, so the same
 //!    seed always produces the same campaign;
-//! 2. every planned fault becomes one *independent* run: a fresh
-//!    [`Machine`] plus a fresh omission policy executes under the
-//!    checkpointing engine, the fault is applied in flight, and the
-//!    engine detects it (by its scheduled latency, or immediately when
-//!    the corruption traps the simulator) and rolls back;
+//! 2. every planned fault becomes one *independent* run under the
+//!    checkpointing engine — forked from a snapshot of the fault-free
+//!    run's last checkpoint commit before the fault lands when the
+//!    policy supports it ([`OmissionPolicy::fork`]), otherwise a fresh
+//!    [`Machine`] plus a fresh policy; the result is identical either
+//!    way. The fault is applied in flight, and the engine detects it (by
+//!    its scheduled latency, or immediately when the corruption traps
+//!    the simulator) and rolls back;
 //! 3. a **differential oracle** compares the recovered execution against
 //!    the `acr-isa` reference interpreter word for word: final memory
 //!    image, total progress, and — for single-threaded programs — the
@@ -22,7 +25,9 @@
 //! and are classified [`CaseOutcome::Diverged`] when they defeat the log
 //! — a campaign never reports a silently wrong recovery.
 
+use std::cell::RefCell;
 use std::fmt;
+use std::rc::Rc;
 
 use acr_isa::interp::{ExecError, Interp};
 use acr_isa::{Program, Reg, ThreadId, NUM_REGS};
@@ -33,7 +38,7 @@ use acr_sim::{
 
 use acr_trace::{FlightRecorder, Fnv1a, MetricsRegistry, TimeSeries, WorkerLoad};
 
-use crate::engine::{BerConfig, BerEngine, ResilienceConfig, Scheme};
+use crate::engine::{BerConfig, BerEngine, EngineSnapshot, ResilienceConfig, Scheme};
 use crate::errors::CkptError;
 use crate::parallel::ParallelRunner;
 use crate::policy::OmissionPolicy;
@@ -673,6 +678,66 @@ pub(crate) struct CaseCtx<'a, F> {
     pub(crate) policy: &'a F,
 }
 
+impl<'a, F> CaseCtx<'a, F> {
+    /// The resilience configuration of case `i`, its recovery-window
+    /// fault plan included (empty unless the campaign strikes recoveries).
+    fn resilience(&self, i: usize) -> ResilienceConfig {
+        let cfg = self.cfg;
+        if cfg.recovery_faults {
+            ResilienceConfig {
+                generations: cfg.generations.max(2),
+                recovery_faults: RecoveryFault::planned(cfg.seed, i as u32),
+                watchdog_budget_cycles: cfg.watchdog_budget_cycles,
+                ..Default::default()
+            }
+        } else {
+            ResilienceConfig {
+                generations: cfg.generations.max(1),
+                watchdog_budget_cycles: cfg.watchdog_budget_cycles,
+                ..Default::default()
+            }
+        }
+    }
+
+    /// A fresh machine — with the always-on flight recorder attached when
+    /// the campaign keeps one — under a fresh engine and policy.
+    fn fresh_engine<P>(
+        &self,
+        faults: Vec<Fault>,
+        resilience: ResilienceConfig,
+    ) -> (BerEngine<'a, P>, Option<SharedRecorder>)
+    where
+        P: OmissionPolicy,
+        F: Fn() -> P,
+    {
+        let ber = BerConfig {
+            scheme: self.cfg.scheme,
+            triggers: uniform_points(self.total, self.cfg.num_checkpoints),
+            errors: ErrorSchedule {
+                occurrences: Vec::new(),
+                detection_latency: self.detection_latency,
+            },
+            oracle: true,
+            secondary: None,
+            faults,
+            resilience,
+        };
+        let mut m = Machine::new(self.machine, self.program);
+        // The always-on flight recorder: a fixed-capacity ring sink, so a
+        // recorder-backed case stays cycle- and hash-identical (tracing is
+        // observational) while failed cases keep their event tails.
+        let recorder = self.cfg.recorder.then(|| {
+            let (sink, rec) = FlightRecorder::shared(self.machine.num_cores as usize);
+            m.set_trace_sink(sink);
+            rec
+        });
+        (BerEngine::new(m, (self.policy)(), ber), recorder)
+    }
+}
+
+/// A case's flight recorder, shared with its machine's trace sink.
+type SharedRecorder = Rc<RefCell<FlightRecorder>>;
+
 /// Runs one case — one *or more* planned faults in a single engine run —
 /// to its verdict: fresh machine, fresh policy, engine run, differential
 /// compare. Pure in `(ctx, i, faults)`, which is what makes the campaign
@@ -690,48 +755,27 @@ where
     P: OmissionPolicy,
     F: Fn() -> P,
 {
+    let (mut engine, recorder) = ctx.fresh_engine(faults.to_vec(), ctx.resilience(i));
+    case_verdict(ctx, i, faults[0], &mut engine, recorder.as_ref())
+}
+
+/// Runs a case's engine — fresh, or forked from a commit snapshot with
+/// the case's fault plan installed — to completion and turns the outcome
+/// into its record: differential compare against the reference
+/// interpreter, and a [`PostmortemBundle`] for failed cases.
+fn case_verdict<P, F>(
+    ctx: &CaseCtx<'_, F>,
+    i: usize,
+    fault: Fault,
+    engine: &mut BerEngine<'_, P>,
+    recorder: Option<&SharedRecorder>,
+) -> (FaultCaseRecord, Option<PostmortemBundle>)
+where
+    P: OmissionPolicy,
+{
     let cfg = ctx.cfg;
     let total = ctx.total;
-    let fault = faults[0];
-    let resilience = if cfg.recovery_faults {
-        ResilienceConfig {
-            generations: cfg.generations.max(2),
-            recovery_faults: RecoveryFault::planned(cfg.seed, i as u32),
-            watchdog_budget_cycles: cfg.watchdog_budget_cycles,
-            ..Default::default()
-        }
-    } else {
-        ResilienceConfig {
-            generations: cfg.generations.max(1),
-            watchdog_budget_cycles: cfg.watchdog_budget_cycles,
-            ..Default::default()
-        }
-    };
-    let recovery_fault = resilience.recovery_faults.first().map(|f| f.kind);
-    let ber = BerConfig {
-        scheme: cfg.scheme,
-        triggers: uniform_points(total, cfg.num_checkpoints),
-        errors: ErrorSchedule {
-            occurrences: Vec::new(),
-            detection_latency: ctx.detection_latency,
-        },
-        oracle: true,
-        secondary: None,
-        faults: faults.to_vec(),
-        resilience,
-    };
-    let mut m = Machine::new(ctx.machine, ctx.program);
-    // The always-on flight recorder: a fixed-capacity ring sink, so a
-    // recorder-backed case stays cycle- and hash-identical (tracing is
-    // observational) while failed cases keep their event tails.
-    let recorder = if cfg.recorder {
-        let (sink, rec) = FlightRecorder::shared(ctx.machine.num_cores as usize);
-        m.set_trace_sink(sink);
-        Some(rec)
-    } else {
-        None
-    };
-    let mut engine = BerEngine::new(m, (ctx.policy)(), ber);
+    let recovery_fault = ctx.resilience(i).recovery_faults.first().map(|f| f.kind);
     match engine.run_to_completion() {
         Ok(report) => {
             let m = engine.machine();
@@ -797,7 +841,7 @@ where
                     &report,
                     m.mem().image().words(),
                     engine.log_totals(),
-                    recorder.as_ref().map(|r| r.borrow()).as_deref(),
+                    recorder.map(|r| r.borrow()).as_deref(),
                     None,
                 )
             });
@@ -835,12 +879,173 @@ where
                 engine.partial_report(),
                 engine.machine().mem().image().words(),
                 engine.log_totals(),
-                recorder.as_ref().map(|r| r.borrow()).as_deref(),
+                recorder.map(|r| r.borrow()).as_deref(),
                 Some(&err.to_string()),
             );
             (record, Some(bundle))
         }
     }
+}
+
+/// A campaign worker's prefix-sharing state: the working engine every
+/// case runs in, and a snapshot of the newest fault-free checkpoint commit
+/// the worker's driver has reached (commit 0 — the program start — until
+/// the first advance).
+///
+/// The snapshot only moves forward. The driver is the working engine
+/// itself: advancing restores the snapshot (unless the working engine
+/// still equals it), runs fault-free to the next commit and snapshots
+/// that. A case then restores the snapshot, installs its fault plan and
+/// runs to its verdict.
+///
+/// The fork point of a case whose first fault lands at progress `at`
+/// follows the engine's own stop rule: the last commit whose recorded
+/// progress is below `at`, or the commit whose trigger equals `at` (the
+/// checkpoint-first tie-break defers such a fault past the commit).
+/// Commits land exactly on their triggers — a store and its `ASSOC-ADDR`
+/// retire together, and `ASSOC-ADDR` does not count as progress — so in
+/// practice this is the last commit whose trigger is at most `at`; the
+/// rule still reads the recorded progress rather than assuming it.
+struct PrefixFork<'p, P: OmissionPolicy> {
+    engine: BerEngine<'p, P>,
+    recorder: Option<SharedRecorder>,
+    /// Always `Some` between calls (emptied only while advancing, so a
+    /// superseded snapshot is freed before the next is taken).
+    snap: Option<EngineSnapshot<P>>,
+    /// The recorder rings at the snapshot's commit.
+    snap_rings: Option<FlightRecorder>,
+    /// Trigger of the snapshot's commit (`None` at the program start).
+    snap_trigger: Option<u64>,
+    /// The working engine still equals the snapshot.
+    clean: bool,
+}
+
+/// How a campaign worker runs its cases.
+enum CaseRunner<'p, P: OmissionPolicy> {
+    /// Forks every case from the worker's advancing snapshot.
+    Fork(Box<PrefixFork<'p, P>>),
+    /// The policy declines to fork, so every case runs fresh; holds the
+    /// fresh engine built while asking, for the worker's first case.
+    Fresh(Option<Box<(BerEngine<'p, P>, Option<SharedRecorder>)>>),
+}
+
+impl<'p, P: OmissionPolicy> CaseRunner<'p, P> {
+    /// Builds the worker's engine at commit 0 and asks its policy to fork.
+    fn new<F: Fn() -> P>(ctx: &CaseCtx<'p, F>) -> Self {
+        let mut resilience = ctx.resilience(0);
+        resilience.recovery_faults.clear();
+        let (engine, recorder) = ctx.fresh_engine(Vec::new(), resilience);
+        let Some(snap) = engine.snapshot() else {
+            return CaseRunner::Fresh(Some(Box::new((engine, recorder))));
+        };
+        let snap_rings = recorder.as_ref().map(|r| r.borrow().clone());
+        CaseRunner::Fork(Box::new(PrefixFork {
+            engine,
+            recorder,
+            snap: Some(snap),
+            snap_rings,
+            snap_trigger: None,
+            clean: true,
+        }))
+    }
+
+    /// Runs case `i` to its verdict.
+    fn run_case<F: Fn() -> P>(
+        &mut self,
+        ctx: &CaseCtx<'p, F>,
+        i: usize,
+        faults: &[Fault],
+    ) -> (FaultCaseRecord, Option<PostmortemBundle>) {
+        match self {
+            CaseRunner::Fork(fork) => fork.run_case(ctx, i, faults),
+            CaseRunner::Fresh(spare) => match spare.take().map(|b| *b) {
+                // A never-run engine with the case's plan installed is
+                // exactly the fresh engine `run_fault_case` would build.
+                Some((mut engine, recorder)) => {
+                    engine.install_faults(faults.to_vec(), ctx.resilience(i).recovery_faults);
+                    case_verdict(ctx, i, faults[0], &mut engine, recorder.as_ref())
+                }
+                None => run_fault_case(ctx, i, faults),
+            },
+        }
+    }
+}
+
+impl<'p, P: OmissionPolicy> PrefixFork<'p, P> {
+    /// Makes the working engine (and its recorder) equal the snapshot.
+    fn reset_working(&mut self) {
+        if !self.clean {
+            let snap = self.snap.as_ref().expect("the policy forked at commit 0");
+            self.engine.restore(snap);
+            if let (Some(rec), Some(rings)) = (&self.recorder, &self.snap_rings) {
+                rec.borrow_mut().restore(rings);
+            }
+            self.clean = true;
+        }
+    }
+
+    /// Advances the snapshot to the fork point of a case whose first fault
+    /// lands at `at`. Returns `false` when the snapshot is already past
+    /// that fork point, which fork-point order rules out unless a commit
+    /// overshoots its trigger; such a case runs fresh.
+    fn advance(&mut self, at: u64) -> bool {
+        while let Some(t) = self.snap().next_trigger().filter(|&t| t <= at) {
+            self.reset_working();
+            self.clean = false;
+            if !matches!(self.engine.run_to_next_commit(), Ok(true)) {
+                break; // keep the snapshot; the case forks from it
+            }
+            let progress = self
+                .engine
+                .partial_report()
+                .intervals
+                .last()
+                .expect("a commit records its interval")
+                .progress;
+            if progress >= at && t != at {
+                break; // the commit overshot past the fault
+            }
+            self.snap = None;
+            self.snap = Some(self.engine.snapshot().expect("the policy forks every time"));
+            if let (Some(rec), Some(rings)) = (&self.recorder, &mut self.snap_rings) {
+                rings.restore(&rec.borrow());
+            }
+            self.snap_trigger = Some(t);
+            self.clean = true;
+        }
+        self.snap_trigger.is_none() || self.snap().progress() < at || self.snap_trigger == Some(at)
+    }
+
+    fn snap(&self) -> &EngineSnapshot<P> {
+        self.snap.as_ref().expect("the policy forked at commit 0")
+    }
+
+    /// Runs case `i` forked from its fork point (fresh if the snapshot has
+    /// already moved past it).
+    fn run_case<F: Fn() -> P>(
+        &mut self,
+        ctx: &CaseCtx<'p, F>,
+        i: usize,
+        faults: &[Fault],
+    ) -> (FaultCaseRecord, Option<PostmortemBundle>) {
+        let at = faults.iter().map(|f| f.at_progress).min().unwrap_or(0);
+        if !self.advance(at) {
+            return run_fault_case(ctx, i, faults);
+        }
+        self.reset_working();
+        self.clean = false;
+        self.engine
+            .install_faults(faults.to_vec(), ctx.resilience(i).recovery_faults);
+        case_verdict(ctx, i, faults[0], &mut self.engine, self.recorder.as_ref())
+    }
+}
+
+/// Case indices in fork-point order — by first-fault landing point — so
+/// a worker handed increasing positions only ever advances its snapshot.
+fn fork_order(faults: &[Fault]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..faults.len()).collect();
+    order.sort_by_key(|&i| (faults[i].at_progress, i));
+    order
 }
 
 /// One progress-log line for a finished case (deterministic: record data
@@ -981,12 +1186,16 @@ pub(crate) fn fault_free_baseline(
     })
 }
 
-/// Runs a fault campaign over `program`: one fresh machine + policy per
-/// planned fault, differentially verified against the reference
-/// interpreter. `policy` is a factory — campaigns over ACR use it to
-/// build a fresh `AcrPolicy` per case. With [`CampaignConfig::jobs`] > 1
-/// the cases shard across worker threads; the report is byte-identical
-/// for every jobs value (see [`crate::parallel`]).
+/// Runs a fault campaign over `program`: one independent run per planned
+/// fault, differentially verified against the reference interpreter.
+/// `policy` is a factory. When its policies fork
+/// ([`OmissionPolicy::fork`]), each worker builds one engine and runs
+/// every case from a snapshot of the fault-free run's last checkpoint
+/// commit before the case's fault lands (see DESIGN.md §15); otherwise
+/// every case gets a fresh machine and policy. The report is identical
+/// either way. With [`CampaignConfig::jobs`] > 1 the cases shard across
+/// worker threads; the report is byte-identical for every jobs value
+/// (see [`crate::parallel`]).
 ///
 /// # Errors
 ///
@@ -1111,19 +1320,32 @@ where
         policy: &policy,
     };
 
-    // Dynamic work handout, static (case-index-ordered) result placement:
-    // the merged report is identical for every jobs value.
+    // Cases run in fork-point order, each worker forking its cases from
+    // its own advancing commit snapshot (see `PrefixFork`). Dynamic work
+    // handout, static (case-index-ordered) result placement: the merged
+    // report is identical for every jobs value, and identical to running
+    // every case fresh.
+    let order = fork_order(&plan.faults);
     let runner = ParallelRunner::new(cfg.jobs);
-    let (results, shards, loads) = runner.run_sharded_loads(
-        plan.faults.len(),
+    let (sorted, shards, loads) = runner.run_with_locals(
+        order.len(),
         MetricsRegistry::new,
-        |i, shard: &mut MetricsRegistry| {
-            let (rec, bundle) = run_fault_case(&ctx, i, std::slice::from_ref(&plan.faults[i]));
+        || None,
+        |j, shard: &mut MetricsRegistry, worker| {
+            let i = order[j];
+            let faults = std::slice::from_ref(&plan.faults[i]);
+            let (rec, bundle) = worker
+                .get_or_insert_with(|| CaseRunner::new(&ctx))
+                .run_case(&ctx, i, faults);
             record_case_metrics(shard, &rec);
             let line = cfg.progress.then(|| case_log_line(&rec));
             (rec, line, bundle)
         },
     );
+    let mut results: Vec<_> = std::iter::repeat_with(|| None).take(sorted.len()).collect();
+    for (&i, result) in order.iter().zip(sorted) {
+        results[i] = Some(result);
+    }
 
     let mut metrics = MetricsRegistry::new();
     for shard in &shards {
@@ -1134,7 +1356,7 @@ where
     let mut cases = Vec::with_capacity(results.len());
     let mut case_log = String::new();
     let mut postmortems = Vec::new();
-    for (rec, line, bundle) in results {
+    for (rec, line, bundle) in results.into_iter().flatten() {
         if let Some(line) = line {
             case_log.push_str(&line);
             case_log.push('\n');
@@ -1197,6 +1419,68 @@ mod tests {
             ..CampaignConfig::default()
         };
         run_campaign(&p, MachineConfig::with_cores(2), &cfg, || NoOmission).expect("campaign runs")
+    }
+
+    /// A worker's snapshot only moves forward; a case whose fork point it
+    /// has already passed (out of fork-point order) runs fresh. In any
+    /// order every case matches its fresh run exactly, postmortems
+    /// included.
+    #[test]
+    fn forked_cases_match_fresh_cases_in_any_order() {
+        let p = kernel(2, 60);
+        let m = MachineConfig::with_cores(2);
+        let cfg = CampaignConfig {
+            num_checkpoints: 5,
+            ..CampaignConfig::default()
+        };
+        let base = fault_free_baseline(&p, m, cfg.interp_fuel, 0).expect("baseline");
+        let policy = || NoOmission;
+        let ctx = CaseCtx {
+            program: &p,
+            machine: m,
+            cfg: &cfg,
+            total: base.total,
+            detection_latency: base.total / 12,
+            reference_mem: &base.reference_mem,
+            reference_regs: None,
+            policy: &policy,
+        };
+        let triggers = uniform_points(base.total, cfg.num_checkpoints);
+        let fault = |at_progress, kind| Fault {
+            at_progress,
+            core: acr_mem::CoreId(1),
+            kind,
+        };
+        let flip = FaultKind::RegBitFlip { reg: 3, bit: 9 };
+        let mem = FaultKind::MemBitFlip {
+            addr: acr_mem::WordAddr::new(32768 + 8),
+            bit: 4,
+        };
+        let faults = [
+            fault(triggers[3] + 5, flip),
+            fault(triggers[1], flip), // behind the snapshot: fresh
+            fault(triggers[3], FaultKind::Crash),
+            fault(triggers[4] + 1, mem),
+            fault(1, flip),
+        ];
+        let CaseRunner::Fork(mut fork) = CaseRunner::new(&ctx) else {
+            panic!("NoOmission forks");
+        };
+        for (i, f) in faults.iter().enumerate() {
+            let (rec, bundle) = fork.run_case(&ctx, i, std::slice::from_ref(f));
+            let (want, want_bundle) = run_fault_case(&ctx, i, std::slice::from_ref(f));
+            assert_eq!(rec, want, "case {i}");
+            assert_eq!(
+                bundle.map(|b| b.to_json()),
+                want_bundle.map(|b| b.to_json()),
+                "case {i}"
+            );
+        }
+        assert_eq!(
+            fork.snap_trigger,
+            Some(triggers[4]),
+            "the snapshot advanced"
+        );
     }
 
     #[test]

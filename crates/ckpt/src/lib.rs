@@ -44,7 +44,9 @@ mod shrink;
 mod soak;
 
 pub use checkpoint::CheckpointRecord;
-pub use engine::{BerConfig, BerEngine, ResilienceConfig, Scheme, SecondaryStorage};
+pub use engine::{
+    BerConfig, BerEngine, EngineSnapshot, ResilienceConfig, Scheme, SecondaryStorage,
+};
 pub use errors::CkptError;
 pub use inject::{
     run_campaign, run_campaign_loads, CampaignConfig, CampaignError, CampaignReport, CaseOutcome,

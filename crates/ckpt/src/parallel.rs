@@ -2,9 +2,10 @@
 //! merge.
 //!
 //! Fault-injection campaigns and multi-workload sweeps are embarrassingly
-//! parallel: every case is an independent run over its own fresh
-//! [`Machine`](acr_sim::Machine) and policy, and no case reads another
-//! case's output. What is *not* automatic is determinism of the merged
+//! parallel: every case is an independent run over its own
+//! [`Machine`](acr_sim::Machine) and policy (fresh, or restored from a
+//! worker-private commit snapshot), and no case reads another case's
+//! output. What is *not* automatic is determinism of the merged
 //! result — a naive channel-based collect would order results by
 //! completion time, which varies with scheduling. [`ParallelRunner`]
 //! therefore separates the two concerns:
@@ -123,14 +124,41 @@ impl ParallelRunner {
         I: Fn() -> S + Sync,
         F: Fn(usize, &mut S) -> R + Sync,
     {
+        self.run_with_locals(n, init, || (), |i, shard, ()| f(i, shard))
+    }
+
+    /// Like [`ParallelRunner::run_sharded_loads`], with a second
+    /// per-worker state created by `local` *on* the worker thread and
+    /// dropped there, so it need not be `Send` (a worker-private
+    /// `Machine`, whose trace sink is `Rc`-based, for example). Every
+    /// worker is handed strictly increasing indices, so a local state can
+    /// carry work forward from one item to the next — fault campaigns keep
+    /// a per-worker snapshot that only ever advances. A local state must
+    /// never change results, only host time: which items share a worker
+    /// depends on scheduling.
+    pub fn run_with_locals<R, S, L, I, IL, F>(
+        &self,
+        n: usize,
+        init: I,
+        local: IL,
+        f: F,
+    ) -> (Vec<R>, Vec<S>, Vec<WorkerLoad>)
+    where
+        R: Send,
+        S: Send,
+        I: Fn() -> S + Sync,
+        IL: Fn() -> L + Sync,
+        F: Fn(usize, &mut S, &mut L) -> R + Sync,
+    {
         let workers = self.jobs.min(n.max(1));
         if workers <= 1 {
             let mut shard = init();
+            let mut state = local();
             let mut load = WorkerLoad::default();
             let results = (0..n)
                 .map(|i| {
                     let sw = Stopwatch::start();
-                    let r = f(i, &mut shard);
+                    let r = f(i, &mut shard, &mut state);
                     load.busy_ns += sw.elapsed_ns();
                     load.items += 1;
                     r
@@ -150,6 +178,7 @@ impl ParallelRunner {
                 .map(|_| {
                     scope.spawn(|| {
                         let mut shard = init();
+                        let mut state = local();
                         let mut load = WorkerLoad::default();
                         let mut done: Vec<(usize, R)> = Vec::new();
                         loop {
@@ -158,7 +187,7 @@ impl ParallelRunner {
                                 break;
                             }
                             let sw = Stopwatch::start();
-                            done.push((i, f(i, &mut shard)));
+                            done.push((i, f(i, &mut shard, &mut state)));
                             load.busy_ns += sw.elapsed_ns();
                             load.items += 1;
                         }

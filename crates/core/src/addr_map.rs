@@ -21,16 +21,20 @@
 //! This sits on the per-store hot path, so the map is an open-addressed
 //! FNV-1a-keyed index (linear probing, power-of-two slot count) over an
 //! entry arena. Each entry inlines the common case of one or two live
-//! versions and spills longer histories to a side `Vec`; captured Slice
-//! inputs live in a fixed [`InputVals`] buffer, so recording an
-//! association allocates nothing. Entries are never removed from the
+//! versions and spills longer histories to a boxed side slice. A version
+//! is 16 bytes and an entry 64: epoch and core are narrowed to 32 and 16
+//! bits, and captured Slice inputs live out of line in a slab of live
+//! captures (exact-length runs of one `u64` arena, recycled through
+//! per-length free lists), so tombstones carry no input buffer and a run
+//! released by prune, rollback or an in-place supersede is reused by the
+//! next capture of the same length. Entries are never removed from the
 //! arena: pruning an address empties its version list, which is
 //! observationally identical to absence, and the entry (plus its index
 //! slot) is reused if the address is touched again. See DESIGN.md §14 for
 //! the invariants and why determinism is structural here rather than
 //! sort-on-iterate.
 
-use acr_isa::{InputVals, SliceId};
+use acr_isa::{SliceId, MAX_SLICE_INPUTS};
 use acr_mem::WordAddr;
 use acr_trace::{Fnv1a, MetricsRegistry};
 
@@ -51,30 +55,132 @@ impl Default for AddrMapConfig {
     }
 }
 
-/// One association version.
+/// What a version says about its address's value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum VersionKind {
+    /// A live association: the value is the output of `slice` over the
+    /// version's captured inputs.
+    Live,
+    /// Tombstone: an uncovered store genuinely killed the association.
+    Dead,
+    /// Tombstone forced by a capacity eviction (the association existed
+    /// but had to be dropped). Drives the omission-decision ledger's
+    /// `logged:addrmap-evicted` vs `logged:not-recomputable` split.
+    Evicted,
+}
+
+/// One association version (16 bytes; its captured inputs live in the
+/// map's [`Captures`] slab).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Version {
     /// Epoch in which the version was created (the association describes
     /// the address's value from then until the next version).
-    epoch: u64,
+    epoch: u32,
+    /// The associated Slice (live versions only).
+    slice: SliceId,
+    /// Start of the captured inputs in the capture slab (live only).
+    capture: u32,
     /// Owning core.
-    core: u32,
-    /// `None` is a tombstone: the address's value is no longer the output
-    /// of a known Slice.
-    assoc: Option<Assoc>,
-    /// For tombstones only: `true` when the invalidation was forced by a
-    /// capacity eviction (the association existed but had to be dropped),
-    /// `false` when an uncovered store genuinely killed it. Drives the
-    /// omission-decision ledger's `logged:addrmap-evicted` vs
-    /// `logged:not-recomputable` split.
-    evicted: bool,
+    core: u16,
+    /// Number of captured inputs (live only).
+    inputs: u8,
+    kind: VersionKind,
 }
 
-/// A live association: the Slice and its captured inputs.
+/// Epochs count checkpoints, so 32 bits hold any run the simulator can
+/// finish; versions store them narrowed.
+fn epoch32(epoch: u64) -> u32 {
+    u32::try_from(epoch).expect("checkpoint epoch exceeds 32 bits")
+}
+
+/// Core indices are bounded by the 64-bit core masks; versions store them
+/// in 16 bits.
+fn core16(core: u32) -> u16 {
+    u16::try_from(core).expect("core index exceeds 16 bits")
+}
+
+impl Version {
+    fn tombstone(epoch: u32, core: u16, evicted: bool) -> Self {
+        Version {
+            epoch,
+            core,
+            slice: SliceId(0),
+            capture: 0,
+            inputs: 0,
+            kind: if evicted {
+                VersionKind::Evicted
+            } else {
+                VersionKind::Dead
+            },
+        }
+    }
+
+    #[inline]
+    fn is_live(&self) -> bool {
+        self.kind == VersionKind::Live
+    }
+}
+
+/// The slab of live captured inputs: one `u64` arena carved into runs of
+/// exactly each capture's length. A released run goes on its length's
+/// free list and is reused by the next capture of that length, so the
+/// arena stays bounded by the peak live input volume. Offsets are never
+/// observable (readers resolve them through their version), so reuse
+/// order cannot perturb results.
+#[derive(Debug, Clone, Default)]
+struct Captures {
+    words: Vec<u64>,
+    free: [Vec<u32>; MAX_SLICE_INPUTS + 1],
+}
+
+impl Captures {
+    /// Stores `inputs`, returning its offset.
+    fn alloc(&mut self, inputs: &[u64]) -> u32 {
+        let n = inputs.len();
+        if n == 0 {
+            return 0;
+        }
+        if let Some(at) = self.free[n].pop() {
+            self.words[at as usize..at as usize + n].copy_from_slice(inputs);
+            at
+        } else {
+            let at = self.words.len();
+            self.words.extend_from_slice(inputs);
+            at as u32
+        }
+    }
+
+    /// Returns the capture of live version `v` to its free list.
+    fn release(&mut self, v: &Version) {
+        if v.is_live() && v.inputs > 0 {
+            self.free[usize::from(v.inputs)].push(v.capture);
+        }
+    }
+
+    /// The captured inputs of live version `v`.
+    #[inline]
+    fn get(&self, v: &Version) -> &[u64] {
+        let at = v.capture as usize;
+        &self.words[at..at + usize::from(v.inputs)]
+    }
+
+    /// Overwrites this slab with `other`, reusing its storage.
+    fn restore(&mut self, other: &Captures) {
+        self.words.clear();
+        self.words.extend_from_slice(&other.words);
+        for (mine, theirs) in self.free.iter_mut().zip(&other.free) {
+            mine.clear();
+            mine.extend_from_slice(theirs);
+        }
+    }
+}
+
+/// A live association as seen by readers: the Slice and its captured
+/// inputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Assoc {
+pub(crate) struct Assoc<'a> {
     pub slice: SliceId,
-    pub inputs: InputVals,
+    pub inputs: &'a [u64],
 }
 
 /// Versions an entry holds before spilling to the heap. Profiling the
@@ -88,8 +194,10 @@ const INLINE_VERSIONS: usize = 2;
 const DEAD_VERSION: Version = Version {
     epoch: 0,
     core: 0,
-    assoc: None,
-    evicted: false,
+    slice: SliceId(0),
+    capture: 0,
+    inputs: 0,
+    kind: VersionKind::Dead,
 };
 
 /// An address's version history, newest last (push order is chronological
@@ -97,7 +205,10 @@ const DEAD_VERSION: Version = Version {
 #[derive(Debug, Clone)]
 struct VersionList {
     inline: [Version; INLINE_VERSIONS],
-    spill: Vec<Version>,
+    /// Versions past the inline ones, exactly sized: spills are rare and
+    /// short, so an entry pays one pointer for them and a spilling push
+    /// reallocates.
+    spill: Option<Box<[Version]>>,
     len: u32,
 }
 
@@ -105,9 +216,27 @@ impl VersionList {
     const fn new() -> Self {
         VersionList {
             inline: [DEAD_VERSION; INLINE_VERSIONS],
-            spill: Vec::new(),
+            spill: None,
             len: 0,
         }
+    }
+
+    #[inline]
+    fn spill(&self) -> &[Version] {
+        self.spill.as_deref().unwrap_or(&[])
+    }
+
+    #[inline]
+    fn spill_mut(&mut self) -> &mut [Version] {
+        self.spill.as_deref_mut().unwrap_or(&mut [])
+    }
+
+    /// Resizes the spill to `n` versions, appending `extra` if given.
+    fn respill(&mut self, n: usize, extra: Option<Version>) {
+        let mut spill = self.spill.take().map(Vec::from).unwrap_or_default();
+        spill.truncate(n);
+        spill.extend(extra);
+        self.spill = (!spill.is_empty()).then(|| spill.into_boxed_slice());
     }
 
     #[inline]
@@ -126,7 +255,7 @@ impl VersionList {
         if i < INLINE_VERSIONS {
             &self.inline[i]
         } else {
-            &self.spill[i - INLINE_VERSIONS]
+            &self.spill()[i - INLINE_VERSIONS]
         }
     }
 
@@ -136,7 +265,7 @@ impl VersionList {
         if i < INLINE_VERSIONS {
             self.inline[i] = v;
         } else {
-            self.spill[i - INLINE_VERSIONS] = v;
+            self.spill_mut()[i - INLINE_VERSIONS] = v;
         }
     }
 
@@ -146,7 +275,7 @@ impl VersionList {
         Some(if i < INLINE_VERSIONS {
             &mut self.inline[i]
         } else {
-            &mut self.spill[i - INLINE_VERSIONS]
+            &mut self.spill_mut()[i - INLINE_VERSIONS]
         })
     }
 
@@ -156,7 +285,7 @@ impl VersionList {
         if i < INLINE_VERSIONS {
             self.inline[i] = v;
         } else {
-            self.spill.push(v);
+            self.respill(i - INLINE_VERSIONS, Some(v));
         }
         self.len += 1;
     }
@@ -168,7 +297,7 @@ impl VersionList {
     fn latest_before(&self, bound: u64) -> Option<&Version> {
         for i in (0..self.len()).rev() {
             let v = self.get(i);
-            if v.epoch < bound {
+            if u64::from(v.epoch) < bound {
                 return Some(v);
             }
         }
@@ -189,12 +318,12 @@ impl VersionList {
                 w += 1;
             }
         }
-        self.spill.truncate(w.saturating_sub(INLINE_VERSIONS));
+        self.respill(w.saturating_sub(INLINE_VERSIONS), None);
         self.len = w as u32;
     }
 
     fn clear(&mut self) {
-        self.spill.clear();
+        self.spill = None;
         self.len = 0;
     }
 }
@@ -301,12 +430,15 @@ pub enum AssocState {
 #[derive(Debug, Clone)]
 pub struct AddrMap {
     cfg: AddrMapConfig,
-    /// Open-addressed index: key + arena entry index per slot.
+    /// Open-addressed index: key + arena entry index per slot. Empty in a
+    /// [`AddrMap::snapshot`], which keeps only the arena.
     slots: Vec<Slot>,
     /// Entry arena in first-touch order. Entries are never removed (dead
     /// entries have an empty version list), so indices in `slots` stay
     /// valid for the map's lifetime.
     entries: Vec<Entry>,
+    /// Captured inputs of the live versions.
+    captures: Captures,
     live_per_core: Vec<usize>,
     usage: AddrMapUsage,
 }
@@ -318,9 +450,44 @@ impl AddrMap {
             cfg,
             slots: vec![Slot::EMPTY; INITIAL_SLOTS],
             entries: Vec::new(),
+            captures: Captures::default(),
             live_per_core: vec![0; num_cores],
             usage: AddrMapUsage::default(),
         }
+    }
+
+    /// A compact copy of the map's complete state for prefix sharing: the
+    /// entry arena and capture slab without the index, which
+    /// [`AddrMap::restore`] re-derives from the arena. Only valid as a
+    /// `restore` argument.
+    pub fn snapshot(&self) -> AddrMap {
+        AddrMap {
+            cfg: self.cfg,
+            slots: Vec::new(),
+            entries: self.entries.clone(),
+            captures: self.captures.clone(),
+            live_per_core: self.live_per_core.clone(),
+            usage: self.usage,
+        }
+    }
+
+    /// Rewinds the map to `snap`, taken by [`AddrMap::snapshot`], and
+    /// rebuilds the index at the size the map's own growth would have
+    /// reached for that many entries (the index size is a host detail —
+    /// no reader depends on it). Reuses this map's storage.
+    pub fn restore(&mut self, snap: &AddrMap) {
+        self.cfg = snap.cfg;
+        self.entries.clone_from(&snap.entries);
+        self.captures.restore(&snap.captures);
+        self.live_per_core.clone_from(&snap.live_per_core);
+        self.usage = snap.usage;
+        let mut len = INITIAL_SLOTS;
+        while self.entries.len() * 8 > len * 7 {
+            len *= 2;
+        }
+        self.slots.clear();
+        self.slots.resize(len, Slot::EMPTY);
+        self.reindex();
     }
 
     /// Usage counters.
@@ -400,19 +567,23 @@ impl AddrMap {
     /// lookup history, so growth cannot perturb observable behaviour.
     fn grow(&mut self) {
         let new_len = self.slots.len() * 2;
-        let mask = new_len - 1;
-        let mut slots = vec![Slot::EMPTY; new_len];
+        self.slots = vec![Slot::EMPTY; new_len];
+        self.reindex();
+    }
+
+    /// Seats every arena entry in the (empty) index, in arena order.
+    fn reindex(&mut self) {
+        let mask = self.slots.len() - 1;
         for (idx, entry) in self.entries.iter().enumerate() {
             let mut slot = hash_addr(entry.key) as usize & mask;
-            while slots[slot].idx != EMPTY_SLOT {
+            while self.slots[slot].idx != EMPTY_SLOT {
                 slot = (slot + 1) & mask;
             }
-            slots[slot] = Slot {
+            self.slots[slot] = Slot {
                 key: entry.key.byte(),
                 idx: idx as u32,
             };
         }
-        self.slots = slots;
     }
 
     fn note_peak(&mut self) {
@@ -433,7 +604,7 @@ impl AddrMap {
         if self.entries[idx].versions.is_empty() {
             return;
         }
-        self.tombstone_at(idx, core, epoch, false);
+        self.tombstone_at(idx, core16(core), epoch32(epoch), false);
     }
 
     /// Writes a tombstone version into entry `idx`. `evicted` marks
@@ -442,10 +613,10 @@ impl AddrMap {
     /// unknown address (the caller uses `find_or_insert`) so a later
     /// first update can still be attributed to the eviction, while plain
     /// uncovered stores to unknown addresses stay free.
-    fn tombstone_at(&mut self, idx: usize, core: u32, epoch: u64, evicted: bool) {
+    fn tombstone_at(&mut self, idx: usize, core: u16, epoch: u32, evicted: bool) {
         let versions = &mut self.entries[idx].versions;
         match versions.last_mut() {
-            Some(last) if last.assoc.is_none() => {
+            Some(last) if !last.is_live() => {
                 // Already dead from an earlier (or equal) epoch on; a
                 // later uncovered store changes nothing.
             }
@@ -453,23 +624,16 @@ impl AddrMap {
                 // Same-epoch association superseded within the
                 // interval: it can never be looked up (lookups target
                 // strictly older epochs), so replace in place.
-                let owner = last.core;
-                last.assoc = None;
-                last.core = core;
-                last.evicted = evicted;
-                self.live_per_core[owner as usize] -= 1;
+                self.live_per_core[usize::from(last.core)] -= 1;
+                self.captures.release(last);
+                *last = Version::tombstone(epoch, core, evicted);
                 self.usage.tombstones += 1;
                 if evicted {
                     self.usage.evicted_tombstones += 1;
                 }
             }
             _ => {
-                versions.push(Version {
-                    epoch,
-                    core,
-                    assoc: None,
-                    evicted,
-                });
+                versions.push(Version::tombstone(epoch, core, evicted));
                 self.usage.tombstones += 1;
                 if evicted {
                     self.usage.evicted_tombstones += 1;
@@ -487,39 +651,45 @@ impl AddrMap {
         addr: WordAddr,
         epoch: u64,
         slice: SliceId,
-        inputs: InputVals,
+        inputs: &[u64],
     ) -> bool {
+        debug_assert!(inputs.len() <= MAX_SLICE_INPUTS);
+        let (owner, epoch) = (core16(core), epoch32(epoch));
         if self.live_per_core[core as usize] >= self.cfg.capacity_per_core {
             self.usage.rejected_capacity += 1;
             // The association (if any) no longer describes the new value;
             // the eviction-flagged tombstone lets a later first update be
             // attributed to the capacity limit rather than the program.
             let idx = self.find_or_insert(addr);
-            self.tombstone_at(idx, core, epoch, true);
+            self.tombstone_at(idx, owner, epoch, true);
             return false;
         }
         let idx = self.find_or_insert(addr);
         let versions = &mut self.entries[idx].versions;
-        let assoc = Assoc { slice, inputs };
-        match versions.last_mut() {
+        let version = Version {
+            epoch,
+            core: owner,
+            slice,
+            capture: 0,
+            inputs: inputs.len() as u8,
+            kind: VersionKind::Live,
+        };
+        let slot = match versions.last_mut() {
             Some(last) if last.epoch == epoch => {
                 // Supersede the same-interval version in place.
-                if last.assoc.is_some() {
-                    self.live_per_core[last.core as usize] -= 1;
+                if last.is_live() {
+                    self.live_per_core[usize::from(last.core)] -= 1;
+                    self.captures.release(last);
                 }
-                last.core = core;
-                last.assoc = Some(assoc);
-                last.evicted = false;
+                *last = version;
+                last
             }
             _ => {
-                versions.push(Version {
-                    epoch,
-                    core,
-                    assoc: Some(assoc),
-                    evicted: false,
-                });
+                versions.push(version);
+                versions.last_mut().expect("just pushed")
             }
-        }
+        };
+        slot.capture = self.captures.alloc(inputs);
         self.live_per_core[core as usize] += 1;
         self.usage.inserted += 1;
         self.note_peak();
@@ -529,12 +699,13 @@ impl AddrMap {
     /// The association describing the value `addr` held at checkpoint
     /// `epoch` — the latest version created strictly before `epoch`.
     /// Returns `None` if that version is a tombstone or absent.
-    pub(crate) fn lookup_for_epoch(&self, addr: WordAddr, epoch: u64) -> Option<&Assoc> {
+    pub(crate) fn lookup_for_epoch(&self, addr: WordAddr, epoch: u64) -> Option<Assoc<'_>> {
         let idx = self.find(addr)?;
-        self.entries[idx]
-            .versions
-            .latest_before(epoch)
-            .and_then(|v| v.assoc.as_ref())
+        let v = self.entries[idx].versions.latest_before(epoch)?;
+        v.is_live().then(|| Assoc {
+            slice: v.slice,
+            inputs: self.captures.get(v),
+        })
     }
 
     /// Owning core of the association usable for `epoch`, if any.
@@ -543,8 +714,8 @@ impl AddrMap {
         self.entries[idx]
             .versions
             .latest_before(epoch)
-            .filter(|v| v.assoc.is_some())
-            .map(|v| v.core)
+            .filter(|v| v.is_live())
+            .map(|v| u32::from(v.core))
     }
 
     /// Classifies what the map knows about the value `addr` held at
@@ -557,13 +728,13 @@ impl AddrMap {
         };
         match self.entries[idx].versions.latest_before(epoch) {
             None => AssocState::Absent,
-            Some(v) => match &v.assoc {
-                Some(a) => AssocState::Live {
-                    slice: a.slice,
-                    core: v.core,
+            Some(v) => match v.kind {
+                VersionKind::Live => AssocState::Live {
+                    slice: v.slice,
+                    core: u32::from(v.core),
                 },
-                None if v.evicted => AssocState::Evicted,
-                None => AssocState::Dead,
+                VersionKind::Evicted => AssocState::Evicted,
+                VersionKind::Dead => AssocState::Dead,
             },
         }
     }
@@ -571,9 +742,11 @@ impl AddrMap {
     /// Prunes versions no longer reachable once epoch `sealed` is sealed:
     /// recovery can only target checkpoints `sealed` and `sealed + 1`, so
     /// per address we keep every version with `epoch >= sealed` plus the
-    /// latest older one.
+    /// latest older one. Pruned live versions return their captures to
+    /// the slab.
     pub(crate) fn prune(&mut self, sealed: u64) {
         let live = &mut self.live_per_core;
+        let captures = &mut self.captures;
         for entry in &mut self.entries {
             let versions = &mut entry.versions;
             if versions.is_empty() {
@@ -581,7 +754,7 @@ impl AddrMap {
             }
             let mut keep_from = 0;
             for i in (0..versions.len()).rev() {
-                if versions.get(i).epoch < sealed {
+                if u64::from(versions.get(i).epoch) < sealed {
                     keep_from = i;
                     break;
                 }
@@ -590,8 +763,9 @@ impl AddrMap {
                 let mut i = 0;
                 versions.retain(|v| {
                     let keep = i >= keep_from;
-                    if !keep && v.assoc.is_some() {
-                        live[v.core as usize] -= 1;
+                    if !keep && v.is_live() {
+                        live[usize::from(v.core)] -= 1;
+                        captures.release(v);
                     }
                     i += 1;
                     keep
@@ -602,7 +776,7 @@ impl AddrMap {
             // indistinguishable to every reader).
             if versions.len() == 1 {
                 let v = versions.get(0);
-                if v.assoc.is_none() && v.epoch < sealed {
+                if !v.is_live() && u64::from(v.epoch) < sealed {
                     versions.clear();
                 }
             }
@@ -614,11 +788,13 @@ impl AddrMap {
     /// (`epoch >= safe_epoch`) describe stores that never happened.
     pub(crate) fn rollback(&mut self, safe_epoch: u64, victim_mask: u64) {
         let live = &mut self.live_per_core;
+        let captures = &mut self.captures;
         for entry in &mut self.entries {
             entry.versions.retain(|v| {
-                let undone = v.epoch >= safe_epoch && victim_mask >> v.core & 1 == 1;
-                if undone && v.assoc.is_some() {
-                    live[v.core as usize] -= 1;
+                let undone = u64::from(v.epoch) >= safe_epoch && victim_mask >> v.core & 1 == 1;
+                if undone && v.is_live() {
+                    live[usize::from(v.core)] -= 1;
+                    captures.release(v);
                 }
                 !undone
             });
@@ -634,10 +810,6 @@ mod tests {
         WordAddr::new(i * 8)
     }
 
-    fn iv(vals: &[u64]) -> InputVals {
-        InputVals::new(vals)
-    }
-
     fn map(cap: usize) -> AddrMap {
         AddrMap::new(
             AddrMapConfig {
@@ -650,7 +822,7 @@ mod tests {
     #[test]
     fn assoc_visible_only_for_later_epochs() {
         let mut m = map(100);
-        assert!(m.record_assoc(0, wa(1), 3, SliceId(7), iv(&[10])));
+        assert!(m.record_assoc(0, wa(1), 3, SliceId(7), &[10]));
         // Value stored in epoch 3 describes the state at checkpoints 4, 5…
         assert!(m.lookup_for_epoch(wa(1), 3).is_none());
         let a = m.lookup_for_epoch(wa(1), 4).unwrap();
@@ -661,7 +833,7 @@ mod tests {
     #[test]
     fn tombstone_invalidates_from_its_epoch() {
         let mut m = map(100);
-        m.record_assoc(0, wa(1), 3, SliceId(7), iv(&[]));
+        m.record_assoc(0, wa(1), 3, SliceId(7), &[]);
         m.record_store(1, wa(1), 5);
         // Checkpoint 4 and 5 still see the association (store was in
         // epoch 5, after checkpoints 4 and 5 were... checkpoint 5 opens
@@ -675,9 +847,9 @@ mod tests {
     #[test]
     fn same_epoch_supersede_keeps_single_version() {
         let mut m = map(100);
-        m.record_assoc(0, wa(1), 3, SliceId(1), iv(&[1]));
+        m.record_assoc(0, wa(1), 3, SliceId(1), &[1]);
         m.record_store(0, wa(1), 3); // overwritten in the same interval
-        m.record_assoc(0, wa(1), 3, SliceId(2), iv(&[2]));
+        m.record_assoc(0, wa(1), 3, SliceId(2), &[2]);
         let a = m.lookup_for_epoch(wa(1), 4).unwrap();
         assert_eq!(a.slice, SliceId(2));
         assert_eq!(m.live(0), 1);
@@ -686,23 +858,23 @@ mod tests {
     #[test]
     fn capacity_rejection_degrades_to_baseline() {
         let mut m = map(2);
-        assert!(m.record_assoc(0, wa(1), 0, SliceId(1), iv(&[])));
-        assert!(m.record_assoc(0, wa(2), 0, SliceId(1), iv(&[])));
-        assert!(!m.record_assoc(0, wa(3), 0, SliceId(1), iv(&[])));
+        assert!(m.record_assoc(0, wa(1), 0, SliceId(1), &[]));
+        assert!(m.record_assoc(0, wa(2), 0, SliceId(1), &[]));
+        assert!(!m.record_assoc(0, wa(3), 0, SliceId(1), &[]));
         assert_eq!(m.usage().rejected_capacity, 1);
         assert!(m.lookup_for_epoch(wa(3), 1).is_none());
         // Capacity is per core: core 1 still has room.
-        assert!(m.record_assoc(1, wa(4), 0, SliceId(1), iv(&[])));
+        assert!(m.record_assoc(1, wa(4), 0, SliceId(1), &[]));
     }
 
     #[test]
     fn capacity_rejection_invalidates_stale_assoc() {
         let mut m = map(1);
-        assert!(m.record_assoc(0, wa(1), 0, SliceId(1), iv(&[5])));
+        assert!(m.record_assoc(0, wa(1), 0, SliceId(1), &[5]));
         // New store to the same address in a later epoch, but the map is
         // full: the old association must not survive describing the new
         // value.
-        assert!(!m.record_assoc(0, wa(1), 1, SliceId(2), iv(&[6])));
+        assert!(!m.record_assoc(0, wa(1), 1, SliceId(2), &[6]));
         assert!(m.lookup_for_epoch(wa(1), 2).is_none());
         // The old association still describes epoch 1's opening value.
         assert!(m.lookup_for_epoch(wa(1), 1).is_some());
@@ -711,9 +883,9 @@ mod tests {
     #[test]
     fn prune_keeps_reachable_versions() {
         let mut m = map(100);
-        m.record_assoc(0, wa(1), 0, SliceId(1), iv(&[]));
-        m.record_assoc(0, wa(1), 2, SliceId(2), iv(&[]));
-        m.record_assoc(0, wa(2), 0, SliceId(3), iv(&[]));
+        m.record_assoc(0, wa(1), 0, SliceId(1), &[]);
+        m.record_assoc(0, wa(1), 2, SliceId(2), &[]);
+        m.record_assoc(0, wa(2), 0, SliceId(3), &[]);
         m.prune(2); // checkpoints 2 and 3 remain restorable
                     // wa(1)@epoch0 is the latest version below 2 → kept.
         assert_eq!(m.lookup_for_epoch(wa(1), 2).unwrap().slice, SliceId(1));
@@ -728,9 +900,9 @@ mod tests {
     #[test]
     fn rollback_drops_undone_victim_versions() {
         let mut m = map(100);
-        m.record_assoc(0, wa(1), 1, SliceId(1), iv(&[]));
-        m.record_assoc(0, wa(2), 3, SliceId(2), iv(&[]));
-        m.record_assoc(1, wa(3), 3, SliceId(3), iv(&[]));
+        m.record_assoc(0, wa(1), 1, SliceId(1), &[]);
+        m.record_assoc(0, wa(2), 3, SliceId(2), &[]);
+        m.record_assoc(1, wa(3), 3, SliceId(3), &[]);
         m.rollback(2, 0b01); // core 0 rolls back to checkpoint 2
         assert!(m.lookup_for_epoch(wa(1), 2).is_some()); // epoch 1 < 2 kept
         assert!(m.lookup_for_epoch(wa(2), 4).is_none()); // undone
@@ -751,7 +923,7 @@ mod tests {
     fn classification_splits_tombstones_by_cause() {
         let mut m = map(1);
         // Live association.
-        m.record_assoc(0, wa(1), 0, SliceId(1), iv(&[4]));
+        m.record_assoc(0, wa(1), 0, SliceId(1), &[4]);
         assert_eq!(
             m.classify_for_epoch(wa(1), 1),
             AssocState::Live {
@@ -764,8 +936,8 @@ mod tests {
         assert_eq!(m.classify_for_epoch(wa(1), 2), AssocState::Dead);
         // Capacity eviction on a fresh address → Evicted (entry is
         // materialised even though the address was never associated).
-        m.record_assoc(1, wa(2), 0, SliceId(1), iv(&[])); // fills core 1
-        m.record_assoc(1, wa(3), 0, SliceId(2), iv(&[])); // rejected
+        m.record_assoc(1, wa(2), 0, SliceId(1), &[]); // fills core 1
+        m.record_assoc(1, wa(3), 0, SliceId(2), &[]); // rejected
         assert_eq!(m.classify_for_epoch(wa(3), 1), AssocState::Evicted);
         // Never-seen address → Absent.
         assert_eq!(m.classify_for_epoch(wa(9), 1), AssocState::Absent);
@@ -778,7 +950,7 @@ mod tests {
     #[test]
     fn usage_metrics_publish_under_ckpt_addrmap_keys() {
         let mut m = map(100);
-        m.record_assoc(0, wa(1), 0, SliceId(1), iv(&[]));
+        m.record_assoc(0, wa(1), 0, SliceId(1), &[]);
         m.record_store(0, wa(1), 1);
         let mut reg = acr_trace::MetricsRegistry::new();
         m.usage().metrics(&mut reg);
@@ -791,8 +963,8 @@ mod tests {
     #[test]
     fn peak_live_tracks_high_water_mark() {
         let mut m = map(100);
-        m.record_assoc(0, wa(1), 0, SliceId(1), iv(&[]));
-        m.record_assoc(1, wa(2), 0, SliceId(1), iv(&[]));
+        m.record_assoc(0, wa(1), 0, SliceId(1), &[]);
+        m.record_assoc(1, wa(2), 0, SliceId(1), &[]);
         assert_eq!(m.usage().peak_live, 2);
         m.prune(10);
         // Peak is sticky.
@@ -811,12 +983,12 @@ mod tests {
         );
         let n = 1000u64;
         for i in 0..n {
-            assert!(m.record_assoc(0, wa(i), 0, SliceId(i as u32), iv(&[i])));
+            assert!(m.record_assoc(0, wa(i), 0, SliceId(i as u32), &[i]));
         }
         for i in 0..n {
             let a = m.lookup_for_epoch(wa(i), 1).unwrap();
             assert_eq!(a.slice, SliceId(i as u32));
-            assert_eq!(a.inputs.as_slice(), &[i]);
+            assert_eq!(a.inputs, &[i]);
         }
         assert_eq!(m.live(0), n as usize);
     }
@@ -824,15 +996,71 @@ mod tests {
     #[test]
     fn dead_entries_are_revived_in_place() {
         let mut m = map(100);
-        m.record_assoc(0, wa(1), 0, SliceId(1), iv(&[]));
+        m.record_assoc(0, wa(1), 0, SliceId(1), &[]);
         m.record_store(0, wa(1), 1);
         m.prune(5); // the address's only version is an old tombstone → dead
         assert_eq!(m.classify_for_epoch(wa(1), 6), AssocState::Absent);
         assert_eq!(m.live(0), 0);
         // Touching the address again reuses the dead entry.
-        assert!(m.record_assoc(0, wa(1), 7, SliceId(2), iv(&[3])));
+        assert!(m.record_assoc(0, wa(1), 7, SliceId(2), &[3]));
         assert_eq!(m.lookup_for_epoch(wa(1), 8).unwrap().slice, SliceId(2));
         assert_eq!(m.live(0), 1);
+    }
+
+    #[test]
+    fn versions_keep_inputs_out_of_line() {
+        // 16-byte versions (inputs live in the capture slab) and 64-byte
+        // entries with two inline versions.
+        assert_eq!(std::mem::size_of::<Version>(), 16);
+        assert_eq!(std::mem::size_of::<Entry>(), 64);
+    }
+
+    #[test]
+    fn pruned_captures_are_reused() {
+        let mut m = map(100);
+        m.record_assoc(0, wa(1), 0, SliceId(1), &[1, 2]);
+        m.record_assoc(0, wa(2), 0, SliceId(2), &[3, 4, 5]);
+        m.record_assoc(0, wa(1), 1, SliceId(3), &[6, 7]);
+        let arena = m.captures.words.len();
+        m.prune(3); // drops wa(1)@0; its two-word capture goes free
+        m.record_assoc(0, wa(3), 3, SliceId(4), &[8, 9]);
+        assert_eq!(m.captures.words.len(), arena, "freed run reused");
+        assert_eq!(m.lookup_for_epoch(wa(3), 4).unwrap().inputs, &[8, 9]);
+        assert_eq!(m.lookup_for_epoch(wa(1), 4).unwrap().inputs, &[6, 7]);
+        assert_eq!(m.lookup_for_epoch(wa(2), 4).unwrap().inputs, &[3, 4, 5]);
+    }
+
+    #[test]
+    fn snapshot_restore_round_trips_without_the_index() {
+        let mut m = map(100);
+        for i in 0..200u64 {
+            m.record_assoc(
+                (i % 2) as u32,
+                wa(i),
+                i / 50,
+                SliceId(i as u32),
+                &[i, i + 1],
+            );
+        }
+        m.record_store(0, wa(4), 3);
+        let snap = m.snapshot();
+        assert!(snap.slots.is_empty());
+        let mut w = map(100);
+        w.record_assoc(1, wa(999), 0, SliceId(9), &[9]);
+        w.restore(&snap);
+        for i in 0..200u64 {
+            for e in 0..6 {
+                assert_eq!(
+                    w.classify_for_epoch(wa(i), e),
+                    m.classify_for_epoch(wa(i), e)
+                );
+                assert_eq!(w.lookup_for_epoch(wa(i), e), m.lookup_for_epoch(wa(i), e));
+            }
+        }
+        assert_eq!(w.classify_for_epoch(wa(999), 1), AssocState::Absent);
+        assert_eq!(w.slots.len(), m.slots.len(), "index sized as growth would");
+        assert_eq!((w.live(0), w.live(1)), (m.live(0), m.live(1)));
+        assert_eq!(w.usage(), m.usage());
     }
 
     #[test]
@@ -843,7 +1071,7 @@ mod tests {
         let mut m = map(100);
         for e in 0..6u64 {
             if e % 2 == 0 {
-                m.record_assoc(0, wa(1), e, SliceId(e as u32), iv(&[e]));
+                m.record_assoc(0, wa(1), e, SliceId(e as u32), &[e]);
             } else {
                 m.record_store(0, wa(1), e);
             }

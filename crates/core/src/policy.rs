@@ -120,7 +120,7 @@ impl OmissionPolicy for AcrPolicy {
         self.stats.addrmap_writes += 1;
         self.stats.opbuf_writes += ev.inputs.len() as u64;
         self.map
-            .record_assoc(ev.core.0, ev.addr, epoch, ev.slice, ev.inputs);
+            .record_assoc(ev.core.0, ev.addr, epoch, ev.slice, ev.inputs.as_slice());
         self.assoc_extra_cycles
     }
 
@@ -137,7 +137,7 @@ impl OmissionPolicy for AcrPolicy {
         let assoc = self.map.lookup_for_epoch(addr, epoch)?;
         let slice = &self.slices[assoc.slice.0 as usize];
         let value = slice
-            .execute(assoc.inputs.as_slice())
+            .execute(assoc.inputs)
             .expect("embedded slice arity matches captured inputs");
         let alu_ops = slice.len() as u64;
         let opbuf_reads = assoc.inputs.len() as u64;
@@ -209,6 +209,28 @@ impl OmissionPolicy for AcrPolicy {
 
     fn overlaps_restore(&self) -> bool {
         self.scratchpad
+    }
+
+    fn fork(&self) -> Option<Self> {
+        Some(AcrPolicy {
+            slices: Arc::clone(&self.slices),
+            map: self.map.snapshot(),
+            stats: self.stats,
+            assoc_extra_cycles: self.assoc_extra_cycles,
+            scratchpad: self.scratchpad,
+            rejected_pcs: self.rejected_pcs.clone(),
+            generations: self.generations,
+        })
+    }
+
+    fn restore(&mut self, snapshot: &Self) {
+        self.slices = Arc::clone(&snapshot.slices);
+        self.map.restore(&snapshot.map);
+        self.stats = snapshot.stats;
+        self.assoc_extra_cycles = snapshot.assoc_extra_cycles;
+        self.scratchpad = snapshot.scratchpad;
+        self.rejected_pcs.clone_from(&snapshot.rejected_pcs);
+        self.generations = snapshot.generations;
     }
 }
 

@@ -17,7 +17,7 @@
 use acr_ckpt::{CampaignConfig, ParallelRunner};
 use acr_isa::Program;
 use acr_sim::Fault;
-use acr_trace::{SharedSink, Stopwatch, TraceEvent};
+use acr_trace::{SharedSink, Stopwatch, TraceEvent, WorkerLoad};
 
 use crate::experiment::{
     CampaignRunResult, Experiment, ExperimentError, ExperimentSpec, RunResult,
@@ -58,31 +58,41 @@ pub struct CampaignSweepOutcome {
 /// handed down as per-case campaign shards (`CampaignConfig::jobs`), so
 /// a single-workload sweep still scales. Outcomes return in item order
 /// and every report is byte-identical for every `jobs` value (0 = auto).
+///
+/// Also returns the workload-level workers' loads (one per outer worker;
+/// observability only, like [`ParallelRunner::run_sharded_loads`]). The
+/// per-case shards' own loads stay in each outcome's
+/// [`CampaignRunResult::host_loads`].
 pub fn run_campaign_sweep<S>(
     items: &[CampaignSweepItem],
     jobs: usize,
     spec_for: S,
-) -> Vec<CampaignSweepOutcome>
+) -> (Vec<CampaignSweepOutcome>, Vec<WorkerLoad>)
 where
     S: Fn(&CampaignSweepItem) -> ExperimentSpec + Sync,
 {
     let budget = ParallelRunner::new(jobs).jobs();
     let outer = budget.min(items.len()).max(1);
     let inner = (budget / outer).max(1);
-    ParallelRunner::new(outer).run_ordered(items.len(), |i| {
-        let item = &items[i];
-        let sw = Stopwatch::start();
-        let run = Experiment::new(item.program.clone(), spec_for(item)).and_then(|mut exp| {
-            let mut cfg = item.campaign.clone();
-            cfg.jobs = inner;
-            exp.run_fault_campaign(&cfg, item.amnesic)
-        });
-        CampaignSweepOutcome {
-            name: item.name.clone(),
-            run,
-            host_ns: sw.elapsed_ns(),
-        }
-    })
+    let (outcomes, _, loads) = ParallelRunner::new(outer).run_sharded_loads(
+        items.len(),
+        || (),
+        |i, ()| {
+            let item = &items[i];
+            let sw = Stopwatch::start();
+            let run = Experiment::new(item.program.clone(), spec_for(item)).and_then(|mut exp| {
+                let mut cfg = item.campaign.clone();
+                cfg.jobs = inner;
+                exp.run_fault_campaign(&cfg, item.amnesic)
+            });
+            CampaignSweepOutcome {
+                name: item.name.clone(),
+                run,
+                host_ns: sw.elapsed_ns(),
+            }
+        },
+    );
+    (outcomes, loads)
 }
 
 /// One workload of a faulted-run sweep (`acr_cli trace` / `profile`).
@@ -224,10 +234,10 @@ mod tests {
         let items = items();
         let spec =
             |_: &CampaignSweepItem| ExperimentSpec::default().with_cores(2).with_checkpoints(5);
-        let seq = run_campaign_sweep(&items, 1, spec);
+        let seq = run_campaign_sweep(&items, 1, spec).0;
         assert_eq!(seq.len(), 3);
         for jobs in [2usize, 4, 8] {
-            let par = run_campaign_sweep(&items, jobs, spec);
+            let par = run_campaign_sweep(&items, jobs, spec).0;
             for (s, p) in seq.iter().zip(&par) {
                 assert_eq!(s.name, p.name, "jobs={jobs}");
                 let (s, p) = (

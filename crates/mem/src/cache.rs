@@ -260,6 +260,51 @@ impl Cache {
     pub fn hit_miss(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
+
+    /// A compact copy of the cache's state: only occupied ways are kept
+    /// (slots past a set's occupancy are never read, so they carry no
+    /// state).
+    pub fn snapshot(&self) -> CacheSnapshot {
+        CacheSnapshot {
+            ways: (0..self.num_sets)
+                .flat_map(|s| self.ways[self.set_range(s)].iter().copied())
+                .collect(),
+            occ: self.occ.clone(),
+            tick: self.tick,
+            hits: self.hits,
+            misses: self.misses,
+        }
+    }
+
+    /// Rewinds the cache to `snap`, taken from a cache of the same
+    /// geometry by [`Cache::snapshot`]. Reuses this cache's storage.
+    pub fn restore(&mut self, snap: &CacheSnapshot) {
+        debug_assert_eq!(snap.occ.len(), self.num_sets, "cache geometry mismatch");
+        let mut packed = snap.ways.iter().copied();
+        for (s, &occ) in snap.occ.iter().enumerate() {
+            let base = s * self.config.ways;
+            for (dst, src) in self.ways[base..base + usize::from(occ)]
+                .iter_mut()
+                .zip(&mut packed)
+            {
+                *dst = src;
+            }
+        }
+        self.occ.copy_from_slice(&snap.occ);
+        self.tick = snap.tick;
+        self.hits = snap.hits;
+        self.misses = snap.misses;
+    }
+}
+
+/// A [`Cache`]'s state with only its occupied ways, set by set.
+#[derive(Debug, Clone)]
+pub struct CacheSnapshot {
+    ways: Vec<Way>,
+    occ: Vec<u16>,
+    tick: u64,
+    hits: u64,
+    misses: u64,
 }
 
 #[cfg(test)]
@@ -342,5 +387,29 @@ mod tests {
         c.invalidate_all();
         assert!(c.dirty_lines().is_empty());
         assert!(!c.contains(LineAddr(0)));
+    }
+
+    #[test]
+    fn restored_cache_replays_identically() {
+        let mut c = tiny();
+        c.fill(LineAddr(0), true);
+        c.fill(LineAddr(2), false);
+        c.access(LineAddr(0), false);
+        let snap = c.snapshot();
+        let mut reference = c.clone();
+        // Diverge, then rewind: every later access must behave as on the
+        // untouched copy, LRU victims included.
+        c.invalidate(LineAddr(0));
+        c.fill(LineAddr(5), true);
+        c.restore(&snap);
+        assert_eq!(c.dirty_lines(), reference.dirty_lines());
+        assert_eq!(c.hit_miss(), reference.hit_miss());
+        for line in [4, 6, 0, 8, 2].map(LineAddr) {
+            assert_eq!(c.access(line, true), reference.access(line, true));
+            if !c.contains(line) {
+                assert_eq!(c.fill(line, false), reference.fill(line, false));
+            }
+        }
+        assert_eq!(c.dirty_lines(), reference.dirty_lines());
     }
 }

@@ -183,6 +183,13 @@ impl Directory {
             *l = DirState::Uncached;
         }
     }
+
+    /// Overwrites this directory with `other`'s state (same line count),
+    /// reusing this directory's storage.
+    pub fn restore(&mut self, other: &Directory) {
+        self.lines.copy_from_slice(&other.lines);
+        self.messages = other.messages;
+    }
 }
 
 #[cfg(test)]

@@ -7,6 +7,8 @@
 //! completes when the slowest controller finishes (the cores are stalled in
 //! a coordinated checkpoint, so this is the stall the paper charges).
 
+use std::sync::Arc;
+
 use crate::addr::{LineAddr, WordAddr, LINE_BYTES};
 
 /// Functional memory image: the single source of truth for data values.
@@ -60,6 +62,25 @@ impl MemImage {
     /// A full snapshot for correctness oracles (zero simulated cost).
     pub fn snapshot(&self) -> Vec<u64> {
         self.words.clone()
+    }
+
+    /// A full snapshot in a shared allocation, so the checkpoint records
+    /// and engine snapshots that hold the same image hold it once.
+    /// `spare` — a retired snapshot — is overwritten in place when nothing
+    /// else shares it, sparing an allocation.
+    pub fn shared_snapshot(&self, spare: Option<Arc<[u64]>>) -> Arc<[u64]> {
+        if let Some(mut buf) = spare {
+            if let Some(words) = Arc::get_mut(&mut buf).filter(|w| w.len() == self.words.len()) {
+                words.copy_from_slice(&self.words);
+                return buf;
+            }
+        }
+        Arc::from(self.words.as_slice())
+    }
+
+    /// Overwrites the image with `words` (same size).
+    pub fn restore(&mut self, words: &[u64]) {
+        self.words.copy_from_slice(words);
     }
 
     /// Raw word view.

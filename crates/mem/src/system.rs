@@ -1,7 +1,9 @@
 //! [`MemSystem`] — the memory-subsystem facade the core model talks to.
 
+use std::sync::Arc;
+
 use crate::addr::{LineAddr, WordAddr, LINE_BYTES};
-use crate::cache::{Cache, CacheConfig, LookupResult};
+use crate::cache::{Cache, CacheConfig, CacheSnapshot, LookupResult};
 use crate::dir::{DirState, Directory};
 use crate::dram::{DramConfig, MemImage};
 use crate::sharing::SharingTracker;
@@ -513,6 +515,64 @@ impl MemSystem {
         }
         self.dir.reset();
     }
+
+    /// A compact copy of the memory system's complete state (image,
+    /// caches, directory, statistics, sharing tracker) for prefix sharing.
+    /// The trace sink is not part of the state: it stays attached to the
+    /// memory system a snapshot is restored into.
+    ///
+    /// `image` is a shared copy of the functional image the caller already
+    /// holds (an oracle shadow taken at the same instant); pass `None` to
+    /// take a fresh one.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug) if `image` differs from the current image.
+    pub fn snapshot(&self, image: Option<Arc<[u64]>>) -> MemSnapshot {
+        let image = image.unwrap_or_else(|| self.image.shared_snapshot(None));
+        debug_assert_eq!(&*image, self.image.words(), "stale shared image");
+        MemSnapshot {
+            image,
+            l1d: self.l1d.iter().map(Cache::snapshot).collect(),
+            l2: self.l2.iter().map(Cache::snapshot).collect(),
+            dir: self.dir.clone(),
+            stats: self.stats,
+            sharing: self.sharing.clone(),
+            now: self.now,
+        }
+    }
+
+    /// Rewinds the memory system to `snap`, taken by
+    /// [`MemSystem::snapshot`] from a memory system of the same
+    /// configuration. Reuses this system's storage and keeps its trace
+    /// sink.
+    pub fn restore(&mut self, snap: &MemSnapshot) {
+        self.image.restore(&snap.image);
+        for (c, s) in self.l1d.iter_mut().zip(&snap.l1d) {
+            c.restore(s);
+        }
+        for (c, s) in self.l2.iter_mut().zip(&snap.l2) {
+            c.restore(s);
+        }
+        self.dir.restore(&snap.dir);
+        self.stats = snap.stats;
+        self.sharing.clone_from(&snap.sharing);
+        self.now = snap.now;
+    }
+}
+
+/// A [`MemSystem`]'s state as captured by [`MemSystem::snapshot`]: the
+/// functional image in a shared allocation, each cache's occupied ways,
+/// the directory, statistics and sharing tracker.
+#[derive(Debug, Clone)]
+pub struct MemSnapshot {
+    image: Arc<[u64]>,
+    l1d: Vec<CacheSnapshot>,
+    l2: Vec<CacheSnapshot>,
+    dir: Directory,
+    stats: MemStats,
+    sharing: Option<SharingTracker>,
+    now: u64,
 }
 
 #[cfg(test)]

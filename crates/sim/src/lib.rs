@@ -38,7 +38,7 @@ pub use fault::{
     RecoveryFault, RecoveryFaultKind, StuckCell, BURST_MAX_SPAN, PC_FAULT_BITS,
 };
 pub use hooks::{AssocEvent, ExecHooks, NoHooks, StoreCensus, StoreEvent, TracingHooks};
-pub use machine::{Machine, RunOutcome, SimError};
+pub use machine::{Machine, MachineState, RunOutcome, SimError};
 pub use profile::{PcCounters, PcProfile, RetireClass};
 pub use stats::SimStats;
 

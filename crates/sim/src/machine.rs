@@ -2,9 +2,10 @@
 //! shared memory system.
 
 use std::fmt;
+use std::sync::Arc;
 
 use acr_isa::{Instr, Program};
-use acr_mem::{CoreId, MemSystem};
+use acr_mem::{CoreId, MemSnapshot, MemSystem};
 use acr_trace::{MetricsRegistry, Sampler, SharedSink, TimeSeries, TraceEvent, TRACK_ENGINE};
 
 use crate::config::MachineConfig;
@@ -92,6 +93,17 @@ impl fmt::Display for SimError {
 }
 
 impl std::error::Error for SimError {}
+
+/// A machine's execution state, captured by [`Machine::save_state`].
+#[derive(Debug, Clone)]
+pub struct MachineState {
+    cores: Vec<CoreModel>,
+    mem: MemSnapshot,
+    stats: SimStats,
+    fuel: u64,
+    registry: MetricsRegistry,
+    stuck: Vec<crate::StuckCell>,
+}
 
 /// Why [`Machine::run`] returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -289,6 +301,38 @@ impl<'p> Machine<'p> {
                 s.record(cycle, reg);
             }
         }
+    }
+
+    /// Captures the machine's complete execution state — cores, memory
+    /// system, statistics, fuel, metrics registry and armed stuck-at
+    /// cells — for prefix sharing. The observation plumbing (trace sink,
+    /// sampler, profiler) is not state: it stays with the machine a
+    /// snapshot is restored into, so a forked run keeps feeding the same
+    /// sink.
+    ///
+    /// `image` optionally supplies a shared copy of the current memory
+    /// image (see [`MemSystem::snapshot`]).
+    pub fn save_state(&self, image: Option<Arc<[u64]>>) -> MachineState {
+        MachineState {
+            cores: self.cores.clone(),
+            mem: self.mem.snapshot(image),
+            stats: self.stats,
+            fuel: self.fuel,
+            registry: self.registry.clone(),
+            stuck: self.stuck.clone(),
+        }
+    }
+
+    /// Rewinds the machine to `state`, captured by [`Self::save_state`]
+    /// from a machine over the same program and configuration. The trace
+    /// sink, sampler and profiler are kept.
+    pub fn restore_state(&mut self, state: &MachineState) {
+        self.cores.clone_from(&state.cores);
+        self.mem.restore(&state.mem);
+        self.stats = state.stats;
+        self.fuel = state.fuel;
+        self.registry.clone_from(&state.registry);
+        self.stuck.clone_from(&state.stuck);
     }
 
     /// Sets a global instruction budget (defence against runaway loops).

@@ -97,6 +97,16 @@ impl Ring {
         self.total += 1;
     }
 
+    /// Overwrites this ring with `other`'s contents (same capacity),
+    /// keeping this ring's preallocated storage.
+    pub fn restore(&mut self, other: &Ring) {
+        debug_assert_eq!(self.cap, other.cap, "ring capacity mismatch");
+        self.buf.clear();
+        self.buf.extend_from_slice(&other.buf);
+        self.next = other.next;
+        self.total = other.total;
+    }
+
     /// The retained events, oldest first (exactly the last
     /// `min(total, capacity)` pushes in push order).
     pub fn events_in_order(&self) -> Vec<TraceEvent> {
@@ -181,6 +191,16 @@ impl FlightRecorder {
         all.sort_by(|a, b| a.cycle.cmp(&b.cycle).then(a.track.cmp(&b.track)));
         all
     }
+
+    /// Overwrites every ring with `snapshot`'s contents — a clone of a
+    /// recorder with the same geometry — so a forked run continues from
+    /// the event tails recorded up to its fork point. No allocation.
+    pub fn restore(&mut self, snapshot: &FlightRecorder) {
+        for (ring, snap) in self.per_core.iter_mut().zip(&snapshot.per_core) {
+            ring.restore(snap);
+        }
+        self.global.restore(&snapshot.global);
+    }
 }
 
 impl TraceSink for FlightRecorder {
@@ -245,6 +265,32 @@ mod tests {
             r.push(ev(0, c));
         }
         assert_eq!(r.buf.as_ptr(), ptr, "backing store must stay in place");
+    }
+
+    #[test]
+    fn restore_rewinds_rings_without_reallocating() {
+        let mut fr = FlightRecorder::new(1, 4, 4);
+        for c in 0..6 {
+            fr.record(&ev(0, c));
+        }
+        let snap = fr.clone();
+        let ptr = fr.core_ring(0).buf.as_ptr();
+        for c in 6..9 {
+            fr.record(&ev(0, c));
+            fr.record(&ev(TRACK_ENGINE, c));
+        }
+        fr.restore(&snap);
+        assert_eq!(fr.core_ring(0).buf.as_ptr(), ptr, "storage reused");
+        assert_eq!(fr.merged_timeline(), snap.merged_timeline());
+        assert_eq!((fr.total(), fr.dropped()), (6, 2));
+        fr.record(&ev(0, 6));
+        let cycles: Vec<u64> = fr
+            .core_ring(0)
+            .events_in_order()
+            .iter()
+            .map(|e| e.cycle)
+            .collect();
+        assert_eq!(cycles, vec![3, 4, 5, 6]);
     }
 
     #[test]

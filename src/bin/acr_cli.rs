@@ -172,7 +172,8 @@ PROFILE OPTIONS:
                       ledger artifact hashes, host timings
 
 BENCH OPTIONS (plus every INJECT option; --faults defaults to 200 — the
-reference campaign whose hashes the golden tests pin):
+reference campaign whose hashes the golden tests pin — and --jobs to 1,
+so the timed throughput does not depend on the host's core count):
     --name NAME       benchmark name; output defaults to BENCH_<name>.json
                       (default ref)
     --reps N          timed repetitions (default 5)
@@ -629,7 +630,7 @@ struct SweepDigest {
     hashes: Vec<(String, u64)>,
     /// Digest of all workloads' metrics registries merged into one.
     digest: u64,
-    /// Per-worker loads merged index-wise across workloads.
+    /// The sweep's workload-level workers' loads.
     loads: Vec<WorkerLoad>,
     /// Simulated cycles executed across all fault cases.
     sim_cycles: u64,
@@ -639,11 +640,11 @@ struct SweepDigest {
 }
 
 impl SweepDigest {
-    fn new() -> Self {
+    fn new(loads: Vec<WorkerLoad>) -> Self {
         SweepDigest {
             hashes: Vec::new(),
             digest: 0,
-            loads: Vec::new(),
+            loads,
             sim_cycles: 0,
             retired: 0,
         }
@@ -655,7 +656,6 @@ impl SweepDigest {
         self.hashes.push((name.to_owned(), r.content_hash()));
         merged.merge(&r.metrics);
         self.digest = merged.digest();
-        merge_loads(&mut self.loads, &run.host_loads);
         self.sim_cycles += r
             .metrics
             .hist("campaign.case.cycles")
@@ -708,7 +708,6 @@ fn inject(args: &[String]) -> Result<ExitCode, String> {
     let mut generation_fallbacks = 0u64;
     let mut degraded_entries = 0u64;
     let mut metrics_jsonl = String::new();
-    let mut digest = SweepDigest::new();
     let mut merged = MetricsRegistry::new();
     let mut host = HostPerf::start();
 
@@ -718,7 +717,7 @@ fn inject(args: &[String]) -> Result<ExitCode, String> {
     // except the host.* manifest section, which is honest wall-clock.
     let items = campaign_items(&a);
 
-    let outcomes = host.time("sweep", || {
+    let (outcomes, loads) = host.time("sweep", || {
         run_campaign_sweep(&items, a.jobs, |item| {
             let bench = Benchmark::from_name(&item.name).expect("items are built from benchmarks");
             ExperimentSpec::default()
@@ -726,6 +725,7 @@ fn inject(args: &[String]) -> Result<ExitCode, String> {
                 .with_threshold(bench.default_threshold())
         })
     });
+    let mut digest = SweepDigest::new(loads);
 
     for o in outcomes {
         let name = o.name;
@@ -2158,7 +2158,8 @@ fn profile(args: &[String]) -> Result<ExitCode, String> {
 struct BenchArgs {
     /// The campaign to time — every inject option applies, with
     /// `--faults` defaulting to 200 (the reference campaign whose
-    /// hashes the golden tests pin) instead of 1000.
+    /// hashes the golden tests pin) instead of 1000, and `--jobs` to 1
+    /// instead of auto.
     inject: InjectArgs,
     name: String,
     reps: u32,
@@ -2200,9 +2201,13 @@ fn parse_bench(args: &[String]) -> Result<BenchArgs, String> {
         }
     }
     let had_faults = rest.iter().any(|s| s == "--faults");
+    let had_jobs = rest.iter().any(|s| s == "--jobs");
     let mut inject = parse_inject(&rest)?;
     if !had_faults {
         inject.faults = 200;
+    }
+    if !had_jobs {
+        inject.jobs = 1;
     }
     Ok(BenchArgs {
         inject,
@@ -2224,8 +2229,8 @@ fn bench(args: &[String]) -> Result<ExitCode, String> {
             .with_threshold(bench.default_threshold())
     };
     let run_items = |items: &[CampaignSweepItem]| -> Result<SweepDigest, String> {
-        let outcomes = run_campaign_sweep(items, a.jobs, spec_for);
-        let mut digest = SweepDigest::new();
+        let (outcomes, loads) = run_campaign_sweep(items, a.jobs, spec_for);
+        let mut digest = SweepDigest::new(loads);
         let mut merged = MetricsRegistry::new();
         for o in outcomes {
             let name = o.name;

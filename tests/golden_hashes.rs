@@ -80,6 +80,7 @@ fn content_hashes(seed: u64, faults: u32, recovery_faults: bool, jobs: usize) ->
             .with_cores(THREADS)
             .with_threshold(bench.default_threshold())
     })
+    .0
     .into_iter()
     .map(|o| o.run.expect("campaign runs").report.content_hash())
     .collect()

@@ -7,7 +7,7 @@ use acr::{run_campaign_sweep, CampaignSweepItem, ExperimentSpec};
 use acr_ckpt::CampaignConfig;
 use acr_isa::{AluOp, Program, ProgramBuilder, Reg};
 use acr_trace::{
-    diff_manifests, BenchStats, DiffOptions, Fnv1a, Manifest, MetricsRegistry, WorkerLoad,
+    diff_manifests, BenchStats, DiffOptions, Fnv1a, HostPerf, Manifest, MetricsRegistry, WorkerLoad,
 };
 
 fn kernel(threads: usize, iters: u64) -> Program {
@@ -55,7 +55,7 @@ fn items() -> Vec<CampaignSweepItem> {
 fn manifest_for(jobs: usize, wall_ns: u64) -> Manifest {
     let items = items();
     let spec = |_: &CampaignSweepItem| ExperimentSpec::default().with_cores(2).with_checkpoints(5);
-    let outcomes = run_campaign_sweep(&items, jobs, spec);
+    let (outcomes, _) = run_campaign_sweep(&items, jobs, spec);
     let mut hashes: Vec<(String, u64)> = Vec::new();
     let mut merged = MetricsRegistry::new();
     let mut combined = Fnv1a::new();
@@ -147,4 +147,32 @@ fn diff_gates_host_regressions_by_tolerance_band() {
     let ungated = diff_manifests(&base, &slow, &opts);
     assert!(ungated.host_regression);
     assert!(!ungated.failed(), "{}", ungated.render());
+}
+
+/// The sweep reports its workload-level workers' loads: a 2-job sweep over
+/// 3 workloads ran on 2 outer workers, and the manifest's `host.jobs.*`
+/// section says so (merging the inner campaigns' loads by worker index
+/// used to report a single worker and no imbalance).
+#[test]
+fn sweep_reports_one_load_per_outer_worker() {
+    let mut items = items();
+    let mut third = items[0].clone();
+    third.name = "c".to_owned();
+    third.campaign.seed = 44;
+    items.push(third);
+    let spec = |_: &CampaignSweepItem| ExperimentSpec::default().with_cores(2).with_checkpoints(5);
+    for (jobs, workers) in [(1usize, 1u64), (2, 2), (4, 3)] {
+        let (outcomes, loads) = run_campaign_sweep(&items, jobs, spec);
+        assert_eq!(outcomes.len(), 3);
+        assert_eq!(loads.len() as u64, workers, "jobs={jobs}");
+        assert_eq!(loads.iter().map(|l| l.items).sum::<u64>(), 3, "jobs={jobs}");
+        let mut host = HostPerf::start();
+        host.record_jobs(jobs as u64, jobs as u64, &loads);
+        let count = host
+            .finish()
+            .into_iter()
+            .find(|(k, _)| k == "host.jobs.count")
+            .map(|(_, v)| v);
+        assert_eq!(count, Some(workers), "jobs={jobs}");
+    }
 }
