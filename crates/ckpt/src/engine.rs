@@ -263,6 +263,42 @@ pub struct EngineSnapshot<P> {
     next_trigger: Option<u64>,
 }
 
+/// The first error of a run forked from a fault-free commit: where it
+/// occurs and whether it is a phantom error of the [`ErrorSchedule`] or
+/// a real fault of [`BerConfig::faults`]. It decides which commits the
+/// run may fork from ([`BerEngine::advance_to_fork_point`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ForkTarget {
+    /// Progress (retired instructions) at which the error occurs.
+    at: u64,
+    /// A phantom error (schedule only, no corruption).
+    phantom: bool,
+}
+
+impl ForkTarget {
+    /// A phantom error occurring at `at`.
+    pub fn phantom(at: u64) -> Self {
+        ForkTarget { at, phantom: true }
+    }
+
+    /// A real fault landing at `at`.
+    pub fn fault(at: u64) -> Self {
+        ForkTarget { at, phantom: false }
+    }
+
+    /// Whether the fault-free commit at `trigger`, with recorded progress
+    /// `progress`, is a fork point: a run restored there and given the
+    /// error behaves exactly as a fresh run. Every commit below `at` is
+    /// one. A real fault exactly at a trigger is deferred past that
+    /// commit (the checkpoint-first tie-break), so that commit is one
+    /// too. A phantom error is exempt from the tie-break: it occurs
+    /// *before* the commit at its trigger, which a fresh run then takes
+    /// with the error already pending, so that commit is not.
+    pub fn admits(self, trigger: u64, progress: u64) -> bool {
+        progress < self.at || (!self.phantom && trigger == self.at)
+    }
+}
+
 impl<P> EngineSnapshot<P> {
     /// Progress (retired instructions) of the newest checkpoint.
     pub fn progress(&self) -> u64 {
@@ -466,7 +502,7 @@ impl<'p, P: OmissionPolicy> BerEngine<'p, P> {
 
     /// The trigger of the next checkpoint commit: the first trigger past
     /// the newest checkpoint's progress (`None` once none is left).
-    fn next_trigger(&self) -> Option<u64> {
+    pub fn next_trigger(&self) -> Option<u64> {
         let last_ckpt = self.checkpoints.back().map(|c| c.progress).unwrap_or(0);
         self.cfg.triggers.iter().copied().find(|&t| t > last_ckpt)
     }
@@ -592,6 +628,43 @@ impl<'p, P: OmissionPolicy> BerEngine<'p, P> {
     /// Propagates [`SimError`] from the simulator.
     pub fn run_to_next_commit(&mut self) -> Result<bool, SimError> {
         self.drive(true)
+    }
+
+    /// The fault-free commit driver of prefix sharing: runs commit by
+    /// commit toward the fork point of `target` and hands every commit
+    /// that is still a fork point ([`ForkTarget::admits`]) to `keep`,
+    /// with its trigger — typically to snapshot it. Stops without running
+    /// when the next trigger lies past the error, and right after a
+    /// commit the rule rejects or when execution ends first.
+    ///
+    /// Returns `Ok(true)` when the engine still sits at the last commit
+    /// it handed to `keep` (or where it started), `Ok(false)` when it ran
+    /// past it. The engine's own error plan must be empty.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`SimError`] from the simulator.
+    pub fn advance_to_fork_point(
+        &mut self,
+        target: ForkTarget,
+        mut keep: impl FnMut(&Self, u64),
+    ) -> Result<bool, SimError> {
+        while let Some(t) = self.next_trigger().filter(|&t| t <= target.at) {
+            if !self.run_to_next_commit()? {
+                return Ok(false);
+            }
+            let progress = self
+                .report
+                .intervals
+                .last()
+                .expect("a commit records its interval")
+                .progress;
+            if !target.admits(t, progress) {
+                return Ok(false);
+            }
+            keep(self, t);
+        }
+        Ok(true)
     }
 
     /// The run loop. With `stop_at_commit`, returns `Ok(true)` right after
@@ -824,7 +897,8 @@ impl<'p, P: OmissionPolicy> BerEngine<'p, P> {
         // attributed to the epoch the checkpoint opens and never
         // snapshots into the generation it lands beside. (Phantom errors
         // corrupt nothing; their timing is left untouched so schedules
-        // derived by integer division keep their pinned results.)
+        // derived by integer division keep their pinned results, and
+        // `ForkTarget::admits` rules out forking them from that commit.)
         let last_ckpt = self.checkpoints.back().map(|c| c.progress).unwrap_or(0);
         let pending_trigger = self
             .cfg

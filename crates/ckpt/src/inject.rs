@@ -38,7 +38,7 @@ use acr_sim::{
 
 use acr_trace::{FlightRecorder, Fnv1a, MetricsRegistry, TimeSeries, WorkerLoad};
 
-use crate::engine::{BerConfig, BerEngine, EngineSnapshot, ResilienceConfig, Scheme};
+use crate::engine::{BerConfig, BerEngine, EngineSnapshot, ForkTarget, ResilienceConfig, Scheme};
 use crate::errors::CkptError;
 use crate::parallel::ParallelRunner;
 use crate::policy::OmissionPolicy;
@@ -894,15 +894,16 @@ where
 ///
 /// The snapshot only moves forward. The driver is the working engine
 /// itself: advancing restores the snapshot (unless the working engine
-/// still equals it), runs fault-free to the next commit and snapshots
-/// that. A case then restores the snapshot, installs its fault plan and
-/// runs to its verdict.
+/// still equals it) and walks it commit by commit with
+/// [`BerEngine::advance_to_fork_point`], snapshotting every commit that
+/// is still a fork point. A case then restores the snapshot, installs
+/// its fault plan and runs to its verdict.
 ///
 /// The fork point of a case whose first fault lands at progress `at`
-/// follows the engine's own stop rule: the last commit whose recorded
-/// progress is below `at`, or the commit whose trigger equals `at` (the
-/// checkpoint-first tie-break defers such a fault past the commit).
-/// Commits land exactly on their triggers — a store and its `ASSOC-ADDR`
+/// follows [`ForkTarget::admits`] for a real fault: the last commit whose
+/// recorded progress is below `at`, or the commit whose trigger equals
+/// `at` (the checkpoint-first tie-break defers such a fault past the
+/// commit). Commits land exactly on their triggers — a store and its `ASSOC-ADDR`
 /// retire together, and `ASSOC-ADDR` does not count as progress — so in
 /// practice this is the last commit whose trigger is at most `at`; the
 /// rule still reads the recorded progress rather than assuming it.
@@ -989,31 +990,26 @@ impl<'p, P: OmissionPolicy> PrefixFork<'p, P> {
     /// that fork point, which fork-point order rules out unless a commit
     /// overshoots its trigger; such a case runs fresh.
     fn advance(&mut self, at: u64) -> bool {
-        while let Some(t) = self.snap().next_trigger().filter(|&t| t <= at) {
+        let target = ForkTarget::fault(at);
+        if self.snap().next_trigger().is_some_and(|t| t <= at) {
             self.reset_working();
-            self.clean = false;
-            if !matches!(self.engine.run_to_next_commit(), Ok(true)) {
-                break; // keep the snapshot; the case forks from it
-            }
-            let progress = self
-                .engine
-                .partial_report()
-                .intervals
-                .last()
-                .expect("a commit records its interval")
-                .progress;
-            if progress >= at && t != at {
-                break; // the commit overshot past the fault
-            }
-            self.snap = None;
-            self.snap = Some(self.engine.snapshot().expect("the policy forks every time"));
-            if let (Some(rec), Some(rings)) = (&self.recorder, &mut self.snap_rings) {
-                rings.restore(&rec.borrow());
-            }
-            self.snap_trigger = Some(t);
-            self.clean = true;
+            let (snap, snap_rings, snap_trigger) =
+                (&mut self.snap, &mut self.snap_rings, &mut self.snap_trigger);
+            let recorder = &self.recorder;
+            let at_snapshot = self.engine.advance_to_fork_point(target, |engine, t| {
+                *snap = None;
+                *snap = Some(engine.snapshot().expect("the policy forks every time"));
+                if let (Some(rec), Some(rings)) = (recorder, snap_rings.as_mut()) {
+                    rings.restore(&rec.borrow());
+                }
+                *snap_trigger = Some(t);
+            });
+            // On a simulator error the case forks from the snapshot kept so
+            // far and meets the error itself.
+            self.clean = matches!(at_snapshot, Ok(true));
         }
-        self.snap_trigger.is_none() || self.snap().progress() < at || self.snap_trigger == Some(at)
+        self.snap_trigger
+            .is_none_or(|t| target.admits(t, self.snap().progress()))
     }
 
     fn snap(&self) -> &EngineSnapshot<P> {

@@ -45,7 +45,7 @@ mod soak;
 
 pub use checkpoint::CheckpointRecord;
 pub use engine::{
-    BerConfig, BerEngine, EngineSnapshot, ResilienceConfig, Scheme, SecondaryStorage,
+    BerConfig, BerEngine, EngineSnapshot, ForkTarget, ResilienceConfig, Scheme, SecondaryStorage,
 };
 pub use errors::CkptError;
 pub use inject::{

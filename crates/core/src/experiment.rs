@@ -4,10 +4,10 @@ use std::fmt;
 use std::sync::Arc;
 
 use acr_ckpt::{
-    dense_fault_plan, replay_case, run_campaign_loads, shrink_case, BerConfig, BerEngine,
-    BerReport, CampaignConfig, CampaignError, CampaignReport, CaseFailure, DecisionLedger,
-    ErrorSchedule, NoOmission, ResilienceConfig, Scheme, SecondaryStorage, ShrinkConfig,
-    ShrinkOutcome,
+    dense_fault_plan, replay_case, run_campaign_loads, shrink_case, uniform_points, BerConfig,
+    BerEngine, BerReport, CampaignConfig, CampaignError, CampaignReport, CaseFailure,
+    DecisionLedger, EngineSnapshot, ErrorSchedule, ForkTarget, NoOmission, OmissionPolicy,
+    ResilienceConfig, Scheme, SecondaryStorage, ShrinkConfig, ShrinkOutcome,
 };
 use acr_energy::{edp, EnergyBreakdown, EnergyInputs, EnergyModel};
 use acr_isa::{Program, ProgramError, Slice};
@@ -279,8 +279,50 @@ pub struct CampaignRunResult {
     pub host_loads: Vec<WorkerLoad>,
 }
 
+/// What a fault-free (`_NE`) run leaves for the next error (`_E`) run on
+/// the same [`Experiment`]: its engine at the last checkpoint commit
+/// before the one-error schedule's occurrence (DESIGN.md §15). A memo
+/// like the cached `No_Ckpt` result: the forked run's result is
+/// byte-identical to a fresh one.
+struct SweepFork<P> {
+    /// The fault-free run's configuration. A run forks only if its own
+    /// matches apart from the error schedule.
+    cfg: BerConfig,
+    /// Trigger of the snapshot's commit.
+    trigger: u64,
+    snap: Box<EngineSnapshot<P>>,
+}
+
+impl<P> SweepFork<P> {
+    /// Whether a run with configuration `cfg` — phantom errors only — may
+    /// start from this snapshot instead of commit 0.
+    fn fits(&self, cfg: &BerConfig) -> bool {
+        let Some(&at) = cfg.errors.occurrences.iter().min() else {
+            return false;
+        };
+        cfg.scheme == self.cfg.scheme
+            && cfg.triggers == self.cfg.triggers
+            && cfg.oracle == self.cfg.oracle
+            && cfg.secondary == self.cfg.secondary
+            && cfg.resilience == self.cfg.resilience
+            && ForkTarget::phantom(at).admits(self.trigger, self.snap.progress())
+    }
+}
+
+/// The snapshot an [`Experiment`] holds, by policy kind.
+enum HeldFork {
+    Ckpt(SweepFork<NoOmission>),
+    ReCkpt(SweepFork<AcrPolicy>),
+}
+
 /// Runs the paper's configurations over one workload program, caching the
 /// `No_Ckpt` baseline and the instrumented binary.
+///
+/// A `Ckpt_NE`/`ReCkpt_NE` run without trace sink, sampling or profiling
+/// also leaves one engine snapshot, at its last checkpoint commit before
+/// the single error of `Ckpt_E`/`ReCkpt_E`. The next engine run consumes
+/// it — the matching `_E` run starts there instead of from commit 0 —
+/// or drops it, so at most one snapshot is alive at a time.
 pub struct Experiment {
     raw: Program,
     spec: ExperimentSpec,
@@ -290,6 +332,7 @@ pub struct Experiment {
     /// instead of cloning it per case.
     instrumented: Option<(usize, Arc<Program>, Arc<SliceStats>)>,
     no_ckpt: Option<RunResult>,
+    fork: Option<HeldFork>,
 }
 
 impl fmt::Debug for Experiment {
@@ -323,6 +366,7 @@ impl Experiment {
             spec,
             instrumented: None,
             no_ckpt: None,
+            fork: None,
         })
     }
 
@@ -333,14 +377,27 @@ impl Experiment {
 
     /// Replaces the spec. Clears the instrumented-binary cache if the
     /// threshold changed (the `No_Ckpt` baseline only depends on the
-    /// machine, which callers must keep fixed within one experiment).
+    /// machine, which callers must keep fixed within one experiment) and
+    /// drops the held fork snapshot.
     pub fn set_spec(&mut self, spec: ExperimentSpec) {
         if let Some((t, _, _)) = &self.instrumented {
             if *t != spec.slicer.threshold {
                 self.instrumented = None;
             }
         }
+        self.fork = None;
         self.spec = spec;
+    }
+
+    /// The engine snapshot a fault-free run left for the next error run:
+    /// its configuration label (`Ckpt` or `ReCkpt`) and the progress of
+    /// its commit. `None` when no snapshot is held.
+    pub fn held_fork(&self) -> Option<(&'static str, u64)> {
+        match &self.fork {
+            Some(HeldFork::Ckpt(f)) => Some(("Ckpt", f.snap.progress())),
+            Some(HeldFork::ReCkpt(f)) => Some(("ReCkpt", f.snap.progress())),
+            None => None,
+        }
     }
 
     /// The raw program.
@@ -381,7 +438,7 @@ impl Experiment {
     ///
     /// Propagates simulator errors from the baseline run.
     pub fn total_work(&mut self) -> Result<u64, ExperimentError> {
-        Ok(self.run_no_ckpt()?.sim.retired)
+        Ok(self.no_ckpt()?.sim.retired)
     }
 
     /// `No_Ckpt`: error-free execution, no checkpointing (cached).
@@ -390,21 +447,25 @@ impl Experiment {
     ///
     /// Propagates simulator errors.
     pub fn run_no_ckpt(&mut self) -> Result<RunResult, ExperimentError> {
-        if let Some(r) = &self.no_ckpt {
-            return Ok(r.clone());
+        self.no_ckpt().cloned()
+    }
+
+    /// The cached `No_Ckpt` result, run on first use.
+    fn no_ckpt(&mut self) -> Result<&RunResult, ExperimentError> {
+        if self.no_ckpt.is_none() {
+            let mut machine = Machine::new(self.spec.machine, &self.raw);
+            if self.spec.profile {
+                machine.enable_profiling();
+            }
+            machine.run(&mut NoHooks, u64::MAX)?;
+            let cycles = machine.cycles();
+            let sim = *machine.stats();
+            let mem = *machine.mem().stats();
+            let mut result = self.finish("No_Ckpt".to_owned(), cycles, sim, mem, None, None, None);
+            result.profile = machine.take_profile();
+            self.no_ckpt = Some(result);
         }
-        let mut machine = Machine::new(self.spec.machine, &self.raw);
-        if self.spec.profile {
-            machine.enable_profiling();
-        }
-        machine.run(&mut NoHooks, u64::MAX)?;
-        let cycles = machine.cycles();
-        let sim = *machine.stats();
-        let mem = *machine.mem().stats();
-        let mut result = self.finish("No_Ckpt".to_owned(), cycles, sim, mem, None, None, None);
-        result.profile = machine.take_profile();
-        self.no_ckpt = Some(result.clone());
-        Ok(result)
+        Ok(self.no_ckpt.as_ref().expect("just filled"))
     }
 
     fn ber_config(&mut self, errors: u32) -> Result<BerConfig, ExperimentError> {
@@ -442,13 +503,19 @@ impl Experiment {
     /// Propagates simulator errors.
     pub fn run_ckpt(&mut self, errors: u32) -> Result<RunResult, ExperimentError> {
         let cfg = self.ber_config(errors)?;
+        let held = match self.fork.take() {
+            Some(HeldFork::Ckpt(f)) => Some(f),
+            _ => None,
+        };
+        let plan = self.fork_plan(&cfg, held)?;
         let mut machine = Machine::new(self.spec.machine, &self.raw);
         self.attach_observability(&mut machine);
         let mut engine = BerEngine::new(machine, NoOmission, cfg);
         if self.spec.profile {
             engine.enable_ledger();
         }
-        let report = engine.run_to_completion()?;
+        let (report, kept) = plan.run(&mut engine)?;
+        self.fork = kept.map(HeldFork::Ckpt);
         let label = label_for("Ckpt", errors, self.spec.scheme);
         let mut result = self.finish(
             label,
@@ -503,6 +570,11 @@ impl Experiment {
         cfg: BerConfig,
         label: String,
     ) -> Result<RunResult, ExperimentError> {
+        let held = match self.fork.take() {
+            Some(HeldFork::ReCkpt(f)) => Some(f),
+            _ => None,
+        };
+        let plan = self.fork_plan(&cfg, held)?;
         let spec_machine = self.spec.machine;
         let addrmap = self.spec.addrmap;
         let (program, slice_stats) = self.instrumented_shared();
@@ -516,7 +588,8 @@ impl Experiment {
         if self.spec.profile {
             engine.enable_ledger();
         }
-        let report = engine.run_to_completion()?;
+        let (report, kept) = plan.run(&mut engine)?;
+        self.fork = kept.map(HeldFork::ReCkpt);
         let acr = engine.policy().stats();
         let mut result = self.finish(
             label,
@@ -531,6 +604,30 @@ impl Experiment {
         result.log_totals = self.spec.profile.then(|| engine.log_totals());
         result.ledger = engine.take_ledger();
         Ok(result)
+    }
+
+    /// How a run with configuration `cfg` takes part in sweep forking,
+    /// given the held snapshot of its policy kind (dropped here unless the
+    /// run uses it). Runs with a trace sink, sampling or profiling never
+    /// fork: the sink, sampler, profiler and ledger live outside
+    /// [`EngineSnapshot`].
+    fn fork_plan<P>(
+        &mut self,
+        cfg: &BerConfig,
+        held: Option<SweepFork<P>>,
+    ) -> Result<ForkPlan<P>, ExperimentError> {
+        let observed =
+            self.spec.trace.enabled() || self.spec.sample_interval > 0 || self.spec.profile;
+        Ok(if observed || !cfg.faults.is_empty() {
+            ForkPlan::Fresh
+        } else if cfg.errors.occurrences.is_empty() {
+            // The error of the one-error schedule (`ErrorSchedule::uniform`).
+            let at = uniform_points(self.total_work()?, 1)[0];
+            ForkPlan::Keep(ForkTarget::phantom(at), cfg.clone())
+        } else {
+            held.filter(|f| f.fits(cfg))
+                .map_or(ForkPlan::Fresh, ForkPlan::Use)
+        })
     }
 
     /// Attaches the spec's trace sink and sampling interval to a machine
@@ -562,6 +659,7 @@ impl Experiment {
         cfg: &CampaignConfig,
         amnesic: bool,
     ) -> Result<CampaignRunResult, ExperimentError> {
+        self.fork = None;
         let machine = self.spec.machine;
         let (label, (report, host_loads)) = if amnesic {
             let addrmap = self.spec.addrmap;
@@ -628,6 +726,7 @@ impl Experiment {
         cfg: &CampaignConfig,
         amnesic: bool,
     ) -> Result<Vec<Fault>, ExperimentError> {
+        self.fork = None;
         let machine = self.spec.machine;
         if amnesic {
             let (program, _) = self.instrumented_shared();
@@ -655,6 +754,7 @@ impl Experiment {
         faults: &[Fault],
         shrink_cfg: &ShrinkConfig,
     ) -> Result<ShrinkOutcome, ExperimentError> {
+        self.fork = None;
         let machine = self.spec.machine;
         if amnesic {
             let addrmap = self.spec.addrmap;
@@ -709,6 +809,7 @@ impl Experiment {
         case_index: usize,
         faults: &[Fault],
     ) -> Result<Option<CaseFailure>, ExperimentError> {
+        self.fork = None;
         let machine = self.spec.machine;
         if amnesic {
             let addrmap = self.spec.addrmap;
@@ -796,6 +897,49 @@ impl Experiment {
             ledger: None,
             log_totals: None,
         }
+    }
+}
+
+/// The part a run plays in sweep forking (see [`Experiment`]).
+enum ForkPlan<P> {
+    /// Run from commit 0 and keep nothing.
+    Fresh,
+    /// A fault-free run: keep the snapshot of its last commit that is a
+    /// fork point for this error, taken under this configuration.
+    Keep(ForkTarget, BerConfig),
+    /// A run with phantom errors: start from this snapshot.
+    Use(SweepFork<P>),
+}
+
+impl<P: OmissionPolicy> ForkPlan<P> {
+    /// Runs `engine`, fresh at commit 0, to completion as planned, and
+    /// returns its report with the snapshot it keeps.
+    fn run(
+        self,
+        engine: &mut BerEngine<'_, P>,
+    ) -> Result<(BerReport, Option<SweepFork<P>>), SimError> {
+        let mut kept = None;
+        match self {
+            ForkPlan::Fresh => {}
+            ForkPlan::Keep(target, cfg) => {
+                // Only the last fork point is snapshotted: a commit whose
+                // successor's trigger is already past the error.
+                let mut last = None;
+                engine.advance_to_fork_point(target, |e, trigger| {
+                    if e.next_trigger().is_none_or(|t| !target.admits(t, t)) {
+                        last = e.snapshot().map(|snap| (trigger, Box::new(snap)));
+                    }
+                })?;
+                kept = last.map(|(trigger, snap)| SweepFork { cfg, trigger, snap });
+            }
+            ForkPlan::Use(SweepFork { cfg, snap, .. }) => {
+                engine.restore(&snap);
+                drop(snap);
+                // `restore` clears the recovery-window faults.
+                engine.install_faults(Vec::new(), cfg.resilience.recovery_faults);
+            }
+        }
+        Ok((engine.run_to_completion()?, kept))
     }
 }
 

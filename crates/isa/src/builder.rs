@@ -217,6 +217,16 @@ mod tests {
     }
 
     #[test]
+    fn finished_code_is_stored_at_exact_capacity() {
+        let mut t = ThreadBuilder::default();
+        for i in 0..1000 {
+            t.imm(Reg(1), i);
+        }
+        let mut code = t.finish();
+        assert_eq!(code.instrs_mut().capacity(), 1000);
+    }
+
+    #[test]
     fn zero_iteration_loop() {
         let mut b = ProgramBuilder::new(1);
         b.set_mem_bytes(4096);

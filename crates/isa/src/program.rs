@@ -31,8 +31,11 @@ pub struct ThreadCode {
 }
 
 impl ThreadCode {
-    /// Creates thread code from raw instructions.
-    pub fn new(instrs: Vec<Instr>) -> Self {
+    /// Creates thread code from raw instructions, stored at exact
+    /// capacity: a push-grown builder vector can hold up to twice its
+    /// code, and every experiment keeps its program for its lifetime.
+    pub fn new(mut instrs: Vec<Instr>) -> Self {
+        instrs.shrink_to_fit();
         ThreadCode { instrs }
     }
 

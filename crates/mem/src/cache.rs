@@ -35,22 +35,51 @@ impl CacheConfig {
     }
 }
 
+/// One resident line in 16 bytes: the dirty bit rides in the top bit of
+/// the line index, which a line index — a byte address over 64 — never
+/// sets. Every machine holds a way array per cache, and snapshots copy
+/// the occupied ways, so the packing saves a third of both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Way {
-    line: LineAddr,
-    dirty: bool,
+    /// Line index, with the dirty bit at [`Way::DIRTY`].
+    tagged: u64,
     /// LRU stamp: larger is more recent.
     stamp: u64,
 }
 
 impl Way {
+    const DIRTY: u64 = 1 << 63;
+
     /// Filler for never-occupied slots of the flat way array; slots past a
     /// set's occupancy count are never read.
     const EMPTY: Way = Way {
-        line: LineAddr(0),
-        dirty: false,
+        tagged: 0,
         stamp: 0,
     };
+
+    #[inline]
+    fn new(line: LineAddr, dirty: bool, stamp: u64) -> Self {
+        debug_assert_eq!(line.0 & Way::DIRTY, 0, "line index out of range");
+        Way {
+            tagged: line.0 | if dirty { Way::DIRTY } else { 0 },
+            stamp,
+        }
+    }
+
+    #[inline]
+    fn line(self) -> LineAddr {
+        LineAddr(self.tagged & !Way::DIRTY)
+    }
+
+    #[inline]
+    fn holds(self, line: LineAddr) -> bool {
+        self.tagged & !Way::DIRTY == line.0
+    }
+
+    #[inline]
+    fn dirty(self) -> bool {
+        self.tagged & Way::DIRTY != 0
+    }
 }
 
 /// Result of a cache lookup/fill.
@@ -148,7 +177,7 @@ impl Cache {
     /// Probes for `line` without changing replacement state.
     pub fn contains(&self, line: LineAddr) -> bool {
         let r = self.set_range(self.set_index(line));
-        self.ways[r].iter().any(|w| w.line == line)
+        self.ways[r].iter().any(|w| w.holds(line))
     }
 
     /// Accesses `line`, touching LRU state. Returns hit/miss; does **not**
@@ -158,10 +187,10 @@ impl Cache {
         self.tick += 1;
         let r = self.set_range(self.set_index(line));
         let tick = self.tick;
-        if let Some(w) = self.ways[r].iter_mut().find(|w| w.line == line) {
+        if let Some(w) = self.ways[r].iter_mut().find(|w| w.holds(line)) {
             w.stamp = tick;
             if write {
-                w.dirty = true;
+                w.tagged |= Way::DIRTY;
             }
             self.hits += 1;
             LookupResult::Hit
@@ -180,14 +209,10 @@ impl Cache {
         let occ = usize::from(self.occ[s]);
         let set = &mut self.ways[base..base + occ];
         debug_assert!(
-            set.iter().all(|w| w.line != line),
+            set.iter().all(|w| !w.holds(line)),
             "fill of already-resident line"
         );
-        let incoming = Way {
-            line,
-            dirty,
-            stamp: self.tick,
-        };
+        let incoming = Way::new(line, dirty, self.tick);
         if occ == self.config.ways {
             let lru = set
                 .iter()
@@ -202,8 +227,8 @@ impl Cache {
             set[lru] = set[occ - 1];
             set[occ - 1] = incoming;
             Some(Eviction {
-                line: w.line,
-                dirty: w.dirty,
+                line: w.line(),
+                dirty: w.dirty(),
             })
         } else {
             self.ways[base + occ] = incoming;
@@ -218,11 +243,11 @@ impl Cache {
         let occ = usize::from(self.occ[s]);
         let base = s * self.config.ways;
         let set = &mut self.ways[base..base + occ];
-        let pos = set.iter().position(|w| w.line == line)?;
+        let pos = set.iter().position(|w| w.holds(line))?;
         let w = set[pos];
         set[pos] = set[occ - 1];
         self.occ[s] = (occ - 1) as u16;
-        Some(w.dirty)
+        Some(w.dirty())
     }
 
     /// Clears the dirty bit of `line` (after a write-back that keeps the
@@ -230,9 +255,9 @@ impl Cache {
     /// the line was resident and dirty.
     pub fn clean(&mut self, line: LineAddr) -> bool {
         let r = self.set_range(self.set_index(line));
-        if let Some(w) = self.ways[r].iter_mut().find(|w| w.line == line) {
-            let was = w.dirty;
-            w.dirty = false;
+        if let Some(w) = self.ways[r].iter_mut().find(|w| w.holds(line)) {
+            let was = w.dirty();
+            w.tagged &= !Way::DIRTY;
             was
         } else {
             false
@@ -243,8 +268,8 @@ impl Cache {
     pub fn dirty_lines(&self) -> Vec<LineAddr> {
         let mut v: Vec<LineAddr> = (0..self.num_sets)
             .flat_map(|s| self.ways[self.set_range(s)].iter())
-            .filter(|w| w.dirty)
-            .map(|w| w.line)
+            .filter(|w| w.dirty())
+            .map(|w| w.line())
             .collect();
         v.sort_unstable();
         v
@@ -265,10 +290,15 @@ impl Cache {
     /// (slots past a set's occupancy are never read, so they carry no
     /// state).
     pub fn snapshot(&self) -> CacheSnapshot {
+        // Sized up front: collecting the flattened sets would grow the
+        // vector by doubling, up to twice the occupied ways.
+        let occupied = self.occ.iter().map(|&o| usize::from(o)).sum();
+        let mut ways = Vec::with_capacity(occupied);
+        for s in 0..self.num_sets {
+            ways.extend_from_slice(&self.ways[self.set_range(s)]);
+        }
         CacheSnapshot {
-            ways: (0..self.num_sets)
-                .flat_map(|s| self.ways[self.set_range(s)].iter().copied())
-                .collect(),
+            ways,
             occ: self.occ.clone(),
             tick: self.tick,
             hits: self.hits,
@@ -354,6 +384,21 @@ mod tests {
         let ev = c.fill(LineAddr(6), false).unwrap();
         assert_eq!(ev.line, LineAddr(2));
         assert!(!ev.dirty);
+    }
+
+    #[test]
+    fn packed_dirty_bit_never_aliases_the_line() {
+        let mut c = tiny();
+        let high = LineAddr((1 << 62) | 2); // set 0, top index bits set
+        c.fill(high, true);
+        c.fill(LineAddr(0), false);
+        assert!(c.contains(high) && !c.contains(LineAddr(2)));
+        assert_eq!(c.dirty_lines(), vec![high]);
+        assert!(c.clean(high));
+        c.access(LineAddr(0), true);
+        let ev = c.fill(LineAddr(4), false).expect("set was full");
+        assert_eq!((ev.line, ev.dirty), (high, false));
+        assert_eq!(c.invalidate(LineAddr(0)), Some(true));
     }
 
     #[test]
