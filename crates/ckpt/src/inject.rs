@@ -141,6 +141,16 @@ impl Default for CampaignConfig {
     }
 }
 
+impl CampaignConfig {
+    /// Checkpoint generations every case's engine retains: `generations`,
+    /// raised to at least 2 in nested-fault mode (so a torn-commit case
+    /// has a generation to fall back to) and to at least 1 otherwise.
+    pub fn retained_generations(&self) -> u32 {
+        self.generations
+            .max(if self.recovery_faults { 2 } else { 1 })
+    }
+}
+
 /// Why a campaign could not even start (per-case failures never abort the
 /// campaign — they are recorded as [`CaseOutcome::Aborted`]).
 /// `Eq` is withheld because [`CkptError::InvalidLatency`] carries the
@@ -683,19 +693,15 @@ impl<'a, F> CaseCtx<'a, F> {
     /// fault plan included (empty unless the campaign strikes recoveries).
     fn resilience(&self, i: usize) -> ResilienceConfig {
         let cfg = self.cfg;
-        if cfg.recovery_faults {
-            ResilienceConfig {
-                generations: cfg.generations.max(2),
-                recovery_faults: RecoveryFault::planned(cfg.seed, i as u32),
-                watchdog_budget_cycles: cfg.watchdog_budget_cycles,
-                ..Default::default()
-            }
-        } else {
-            ResilienceConfig {
-                generations: cfg.generations.max(1),
-                watchdog_budget_cycles: cfg.watchdog_budget_cycles,
-                ..Default::default()
-            }
+        ResilienceConfig {
+            generations: cfg.retained_generations(),
+            recovery_faults: if cfg.recovery_faults {
+                RecoveryFault::planned(cfg.seed, i as u32)
+            } else {
+                Vec::new()
+            },
+            watchdog_budget_cycles: cfg.watchdog_budget_cycles,
+            ..Default::default()
         }
     }
 

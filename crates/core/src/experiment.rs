@@ -11,7 +11,7 @@ use acr_ckpt::{
 };
 use acr_energy::{edp, EnergyBreakdown, EnergyInputs, EnergyModel};
 use acr_isa::{Program, ProgramError, Slice};
-use acr_mem::MemStats;
+use acr_mem::{MemStats, MAX_CORES};
 use acr_sim::{Fault, Machine, MachineConfig, NoHooks, PcProfile, SimError, SimStats};
 use acr_slicer::{instrument, SliceStats, SlicerConfig};
 use acr_trace::{SharedSink, WorkerLoad};
@@ -31,6 +31,15 @@ pub enum ExperimentError {
     /// A fault-injection campaign could not establish its fault-free
     /// baseline.
     Campaign(CampaignError),
+    /// The spec's machine cannot run the program: fewer cores than the
+    /// program has threads (one thread per core), or more than
+    /// [`MAX_CORES`].
+    Cores {
+        /// Cores of the spec's machine.
+        cores: u32,
+        /// Threads of the program.
+        threads: usize,
+    },
 }
 
 impl fmt::Display for ExperimentError {
@@ -39,6 +48,11 @@ impl fmt::Display for ExperimentError {
             ExperimentError::Program(e) => write!(f, "invalid program: {e}"),
             ExperimentError::Sim(e) => write!(f, "simulation error: {e}"),
             ExperimentError::Campaign(e) => write!(f, "fault campaign error: {e}"),
+            ExperimentError::Cores { cores, threads } => write!(
+                f,
+                "{cores} cores for {threads} threads: a machine needs one core per \
+                 thread and at most {MAX_CORES} cores"
+            ),
         }
     }
 }
@@ -353,13 +367,20 @@ impl Experiment {
     /// validation, or [`ExperimentError::Campaign`] with
     /// [`acr_ckpt::CkptError::NoCores`] for a zero-thread program (which
     /// validates vacuously but would build a machine with no cores to
-    /// run or fault).
+    /// run or fault). Returns [`ExperimentError::Cores`] when the spec's
+    /// machine has fewer cores than the program has threads, or more than
+    /// [`MAX_CORES`].
     pub fn new(raw: Program, spec: ExperimentSpec) -> Result<Self, ExperimentError> {
         raw.validate()?;
-        if raw.num_threads() == 0 {
+        let threads = raw.num_threads();
+        if threads == 0 {
             return Err(ExperimentError::Campaign(
                 acr_ckpt::CkptError::NoCores.into(),
             ));
+        }
+        let cores = spec.machine.num_cores;
+        if (cores as usize) < threads || cores > MAX_CORES {
+            return Err(ExperimentError::Cores { cores, threads });
         }
         Ok(Experiment {
             raw,
@@ -644,6 +665,29 @@ impl Experiment {
         }
     }
 
+    /// The instrumented program and the factory of the fresh [`AcrPolicy`]
+    /// every amnesic campaign case, shrink evaluation or replay runs
+    /// under, retaining as many generations as the per-case engines
+    /// ([`CampaignConfig::retained_generations`]). All policies share one
+    /// Slice table: each bumps a refcount instead of cloning it.
+    fn acr_policies(
+        &mut self,
+        cfg: &CampaignConfig,
+    ) -> (Arc<Program>, impl Fn() -> AcrPolicy + Sync) {
+        let addrmap = self.spec.addrmap;
+        let scratchpad = self.spec.scratchpad;
+        let generations = cfg.retained_generations();
+        let (program, _) = self.instrumented_shared();
+        let slices: Arc<[Slice]> = program.slices().into();
+        let num_threads = program.num_threads();
+        let policy = move || {
+            AcrPolicy::new(Arc::clone(&slices), addrmap, num_threads)
+                .with_scratchpad(scratchpad)
+                .with_generations(generations)
+        };
+        (program, policy)
+    }
+
     /// Runs a deterministic fault-injection campaign over this workload:
     /// one fresh machine (and, when `amnesic`, a fresh [`AcrPolicy`]) per
     /// planned fault, each recovery differentially verified against the
@@ -662,26 +706,11 @@ impl Experiment {
         self.fork = None;
         let machine = self.spec.machine;
         let (label, (report, host_loads)) = if amnesic {
-            let addrmap = self.spec.addrmap;
-            let scratchpad = self.spec.scratchpad;
-            let (program, _) = self.instrumented_shared();
-            // Match the per-case engines' retention depth (nested-fault
-            // campaigns force at least two generations).
-            let generations = if cfg.recovery_faults {
-                cfg.generations.max(2)
-            } else {
-                cfg.generations.max(1)
-            };
-            // One shared Slice table for the whole campaign; each case's
-            // policy bumps a refcount instead of cloning the table.
-            let slices: Arc<[Slice]> = program.slices().into();
-            let num_threads = program.num_threads();
-            let report = run_campaign_loads(&program, machine, cfg, || {
-                AcrPolicy::new(Arc::clone(&slices), addrmap, num_threads)
-                    .with_scratchpad(scratchpad)
-                    .with_generations(generations)
-            })?;
-            ("Inject_ReCkpt", report)
+            let (program, policy) = self.acr_policies(cfg);
+            (
+                "Inject_ReCkpt",
+                run_campaign_loads(&program, machine, cfg, policy)?,
+            )
         } else {
             (
                 "Inject_Ckpt",
@@ -757,28 +786,9 @@ impl Experiment {
         self.fork = None;
         let machine = self.spec.machine;
         if amnesic {
-            let addrmap = self.spec.addrmap;
-            let scratchpad = self.spec.scratchpad;
-            let (program, _) = self.instrumented_shared();
-            let generations = if cfg.recovery_faults {
-                cfg.generations.max(2)
-            } else {
-                cfg.generations.max(1)
-            };
-            let slices: Arc<[Slice]> = program.slices().into();
-            let num_threads = program.num_threads();
+            let (program, policy) = self.acr_policies(cfg);
             Ok(shrink_case(
-                &program,
-                machine,
-                cfg,
-                case_index,
-                faults,
-                shrink_cfg,
-                || {
-                    AcrPolicy::new(Arc::clone(&slices), addrmap, num_threads)
-                        .with_scratchpad(scratchpad)
-                        .with_generations(generations)
-                },
+                &program, machine, cfg, case_index, faults, shrink_cfg, policy,
             )?)
         } else {
             Ok(shrink_case(
@@ -812,27 +822,9 @@ impl Experiment {
         self.fork = None;
         let machine = self.spec.machine;
         if amnesic {
-            let addrmap = self.spec.addrmap;
-            let scratchpad = self.spec.scratchpad;
-            let (program, _) = self.instrumented_shared();
-            let generations = if cfg.recovery_faults {
-                cfg.generations.max(2)
-            } else {
-                cfg.generations.max(1)
-            };
-            let slices: Arc<[Slice]> = program.slices().into();
-            let num_threads = program.num_threads();
+            let (program, policy) = self.acr_policies(cfg);
             Ok(replay_case(
-                &program,
-                machine,
-                cfg,
-                case_index,
-                faults,
-                || {
-                    AcrPolicy::new(Arc::clone(&slices), addrmap, num_threads)
-                        .with_scratchpad(scratchpad)
-                        .with_generations(generations)
-                },
+                &program, machine, cfg, case_index, faults, policy,
             )?)
         } else {
             Ok(replay_case(
@@ -986,6 +978,18 @@ mod tests {
             .with_cores(2)
             .with_checkpoints(5)
             .with_oracle(true)
+    }
+
+    #[test]
+    fn new_rejects_machines_that_cannot_run_the_program() {
+        let p = recomputable_kernel(2, 10);
+        for cores in [0, 1, MAX_CORES + 1] {
+            assert_eq!(
+                Experiment::new(p.clone(), spec().with_cores(cores)).unwrap_err(),
+                ExperimentError::Cores { cores, threads: 2 }
+            );
+        }
+        assert!(Experiment::new(p, spec().with_cores(MAX_CORES)).is_ok());
     }
 
     #[test]

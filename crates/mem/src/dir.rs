@@ -13,8 +13,13 @@
 
 use crate::addr::LineAddr;
 
-/// Sharer bitmask — supports up to 64 cores (the paper evaluates ≤ 32).
+/// Sharer bitmask — supports up to [`MAX_CORES`] cores (the paper
+/// evaluates ≤ 32).
 pub type CoreMask = u64;
+
+/// The most cores a machine can have: one bit per core in a [`CoreMask`],
+/// as in the machine's all-cores mask and the engine's rollback victims.
+pub const MAX_CORES: u32 = CoreMask::BITS;
 
 /// Per-line directory state (MESI).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

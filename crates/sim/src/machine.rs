@@ -5,7 +5,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use acr_isa::{Instr, Program};
-use acr_mem::{CoreId, MemSnapshot, MemSystem};
+use acr_mem::{CoreId, MemSnapshot, MemSystem, MAX_CORES};
 use acr_trace::{MetricsRegistry, Sampler, SharedSink, TimeSeries, TraceEvent, TRACK_ENGINE};
 
 use crate::config::MachineConfig;
@@ -451,7 +451,7 @@ impl<'p> Machine<'p> {
 
     /// All-cores mask for this machine.
     pub fn all_mask(&self) -> u64 {
-        if self.cores.len() == 64 {
+        if self.cores.len() == MAX_CORES as usize {
             u64::MAX
         } else {
             (1u64 << self.cores.len()) - 1

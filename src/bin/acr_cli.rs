@@ -9,7 +9,9 @@
 //! The `profile` subcommand runs the same faulted execution with the
 //! attribution profiler and the omission-decision ledger attached and
 //! exports a collapsed-stack flamegraph (speedscope / inferno) plus a
-//! ledger text report — byte-identical for a given seed.
+//! ledger text report — byte-identical for a given seed. The
+//! `experiment` subcommand runs one workload's `No_Ckpt`, `Ckpt` and
+//! `ReCkpt` configurations under any of the paper's knobs.
 //!
 //! Host-performance observability rides alongside: `inject`/`trace`/
 //! `profile` emit a machine-readable run manifest behind `--manifest-out`
@@ -17,20 +19,27 @@
 //! campaign over warmup + N repetitions into `BENCH_<name>.json`, and
 //! `diff` compares two manifests — byte-exact on the sim section,
 //! tolerance-band on host timings — exiting nonzero on a regression.
+//!
+//! Every flag of every subcommand is one row of [`FLAGS`], and every knob
+//! one field of [`CliArgs`]. A subcommand ([`SUBCOMMANDS`]) is its own
+//! defaults plus the names of the flags it accepts; one parse loop and
+//! one usage generator serve them all.
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use acr::{
-    run_campaign_sweep, run_faulted_sweep, CampaignSweepItem, Experiment, ExperimentError,
-    ExperimentSpec, FaultedSweepItem,
+    placement, run_campaign_sweep, run_faulted_sweep, AddrMapConfig, CampaignSweepItem, Experiment,
+    ExperimentError, ExperimentSpec, FaultedSweepItem, RunResult,
 };
 use acr_ckpt::{
     default_models, default_resilience, fault_from_json, fault_to_json, run_soak, CampaignConfig,
-    CampaignError, CaseOutcome, CkptError, OmitReason, ParallelRunner, Scheme, ShrinkConfig,
-    SoakCursor, SoakGrid, SoakModel, SoakResilience, POSTMORTEM_SCHEMA, REPRO_SCHEMA,
+    CampaignError, CaseOutcome, CkptError, OmitReason, ParallelRunner, Scheme, SecondaryStorage,
+    ShrinkConfig, SoakCursor, SoakGrid, SoakModel, SoakResilience, POSTMORTEM_SCHEMA, REPRO_SCHEMA,
 };
-use acr_mem::CoreId;
+use acr_isa::Program;
+use acr_mem::{CoreId, MAX_CORES};
 use acr_sim::{Fault, FaultKind, FaultKindSet, FaultStorm};
 use acr_trace::{
     chrome_trace_json, diff_manifests, fnv1a, merge_loads, parse_json, BenchStats, DiffOptions,
@@ -39,243 +48,18 @@ use acr_trace::{
 };
 use acr_workloads::{generate, Benchmark, WorkloadConfig};
 
-const USAGE: &str = "\
-acr_cli — ACR (Amnesic Checkpointing and Recovery) reproduction driver
-
-USAGE:
-    acr_cli inject [OPTIONS]     run a deterministic fault-injection campaign
-    acr_cli trace [OPTIONS]      trace one ACR run under injected faults
-    acr_cli profile [OPTIONS]    attribution-profile one ACR run: per-PC cycle
-                                 accounting, omission-decision ledger,
-                                 flamegraph export
-    acr_cli bench [OPTIONS]      time the reference campaign over warmup +
-                                 N repetitions; write a BENCH_<name>.json
-                                 manifest with median/MAD/min host stats
-    acr_cli diff BASE CAND [OPTIONS]
-                                 compare two run manifests: byte-exact on
-                                 sim hashes and the metrics digest,
-                                 tolerance-band on host timings; exit 1 on
-                                 any regression
-    acr_cli explain BUNDLE.json  render a postmortem bundle as a human-
-                                 readable triage report: fault chain,
-                                 invariant tallies, escalation ladder,
-                                 merged flight-recorder timeline, and the
-                                 probable-cause classification
-    acr_cli soak [OPTIONS]       run a long-horizon randomized soak: chunked
-                                 campaigns round-robin over a workload x
-                                 fault-model x resilience grid, every case
-                                 classified recovered/due/sdc/hang, bounded
-                                 by --cases / --budget-secs and resumable
-                                 from a --cursor file
-    acr_cli shrink [OPTIONS]     delta-debug one failing fault case down to
-                                 a minimal reproducer with the identical
-                                 postmortem trigger; writes an acr.repro.v1
-                                 JSON replayable with --replay
-    acr_cli workloads            list the bundled workloads
-    acr_cli help                 show this message
-
-INJECT OPTIONS:
-    --seed N          campaign seed (default 42)
-    --faults N        total faults, split across the workloads (default 1000)
-    --workloads LIST  comma-separated workload names (default is,cg,mg)
-    --threads N       cores == threads (default 4)
-    --scale F         workload scale factor (default 0.05)
-    --checkpoints N   checkpoints per nominal run (default 12)
-    --latency F       detection latency / checkpoint period (default 0.5)
-    --kinds SET       all | recoverable | adversarial | comma list of
-                      reg,pc,mem,burst,stuck,crash (default recoverable)
-    --storm G,B       cluster injection points into seeded Poisson bursts:
-                      mean gap G instructions between storms, up to B
-                      faults per storm (default off — uniform placement)
-    --watchdog-budget N
-                      recovery-watchdog cycle budget: a single recovery
-                      escalation exceeding N cycles is aborted into a
-                      `hang` postmortem (default 0 = off)
-    --policy P        acr | baseline (default acr)
-    --scheme S        global | local (default global)
-    --csv DIR         also write per-case CSVs into DIR
-    --metrics-out F   write the fault-free baseline's interval metrics
-                      samples to F as JSONL
-    --sample-interval N
-                      metrics sampling interval in cycles (default 5000
-                      when --metrics-out is given, else off)
-    --recovery-faults additionally strike each case's first recovery with
-                      a deterministic recovery-window fault (torn record,
-                      flipped restored word, corrupt replay, crash
-                      mid-restore, torn commit) and report the engine's
-                      escalation histogram (global scheme only)
-    --generations N   checkpoint generations retained as rollback
-                      fallbacks (default 1; at least 2 with
-                      --recovery-faults)
-    --jobs N          worker threads sharding the campaign (0 = auto:
-                      ACR_JOBS env, else available parallelism; default
-                      auto). Output is byte-identical for every value
-    --progress        print one line per fault case; lines are buffered
-                      per shard and flushed in case order, so the output
-                      is also jobs-invariant
-    --manifest-out F  write a run manifest (JSON): config, per-workload
-                      content hashes + combined, metrics digest, host
-                      timings under host.* — the sim section is identical
-                      for every --jobs value
-    --postmortem-dir D
-                      write one postmortem bundle (JSON) per failed case
-                      — divergence, invariant breach, escalation
-                      exhaustion, or abort — into D as
-                      postmortem.<workload>.case<NNNN>.json. Bundles are
-                      byte-identical for a given seed and every --jobs
-                      value; feed them to `acr_cli explain`
-    --print-metrics   print the merged campaign metrics registry as an
-                      aligned key/value/unit table after the totals
-
-TRACE OPTIONS:
-    --workload W      workload(s) to trace, comma-separated (default cg);
-                      with several, each output file gains a .<name>
-                      suffix before its extension
-    --jobs N          worker threads across workloads (0 = auto: ACR_JOBS
-                      env, else available parallelism; default auto)
-    --out FILE        Chrome trace_event JSON output (default run.trace.json)
-    --metrics-out F   also write the metrics samples to F as JSONL
-    --sample-interval N
-                      metrics sampling interval in cycles (default 5000)
-    --seed N          fault-placement seed (default 42)
-    --faults N        recoverable register faults to inject (default 1)
-    --threads N       cores == threads (default 2)
-    --scale F         workload scale factor (default 0.05)
-    --checkpoints N   checkpoints per nominal run (default 12)
-    --scheme S        global | local (default global)
-    --detail FLAG     on | off — per-store/assoc/miss instants (default off)
-    --print-metrics   print the final metrics sample per workload as an
-                      aligned key/value/unit table
-    --manifest-out F  write a run manifest (JSON): config, per-workload
-                      trace-artifact hashes, metrics digest, host timings
-
-PROFILE OPTIONS:
-    --workload W      workload(s) to profile, comma-separated (default
-                      cg); with several, each output file gains a .<name>
-                      suffix before its extension
-    --jobs N          worker threads across workloads (0 = auto: ACR_JOBS
-                      env, else available parallelism; default auto)
-    --seed N          fault-placement seed (default 42)
-    --faults N        recoverable register faults to inject (default 1)
-    --threads N       cores == threads (default 2)
-    --scale F         workload scale factor (default 0.05)
-    --checkpoints N   checkpoints per nominal run (default 12)
-    --scheme S        global | local (default global)
-    --flame-out F     collapsed-stack flamegraph output, loadable in
-                      speedscope / inferno (default run.folded)
-    --ledger-out F    omission-decision ledger text output
-                      (default run.ledger.txt)
-    --trace-out F     also write a Chrome trace with the profile and
-                      ledger counter tracks appended
-    --top N           hottest attribution sites to print (default 10)
-    --manifest-out F  write a run manifest (JSON): config, flamegraph and
-                      ledger artifact hashes, host timings
-
-BENCH OPTIONS (plus every INJECT option; --faults defaults to 200 — the
-reference campaign whose hashes the golden tests pin — and --jobs to 1,
-so the timed throughput does not depend on the host's core count):
-    --name NAME       benchmark name; output defaults to BENCH_<name>.json
-                      (default ref)
-    --reps N          timed repetitions (default 5)
-    --warmup N        untimed warmup repetitions (default 1)
-    --out FILE        output path override
-
-DIFF OPTIONS:
-    --tolerance-pct F allowed host-timing growth before the candidate
-                      counts as a regression (default 20)
-    --host-gate FLAG  on | off | tput — whether host performance fails
-                      the diff (default on; CI uses off for hash checks,
-                      where shared runners make wall time report-only).
-                      `tput` gates on host.tput.cycles_per_sec instead of
-                      wall time: a throughput drop beyond the tolerance
-                      fails, growth never does. Sim mismatches always
-                      fail regardless
-
-SOAK OPTIONS:
-    --workloads LIST  comma-separated workload names (default is,cg)
-    --cases N         stop once the cursor's total finished cases reach N
-                      — counts resumed history, so a budget spans
-                      invocations (default 500)
-    --budget-secs N   also stop after N seconds of wall clock (checked
-                      between chunks; the wall clock can stop a soak but
-                      never changes what a chunk computes; default 0 = off)
-    --chunk N         cases per chunk (default 25; pinned by the cursor)
-    --seed N          soak seed every chunk seed is mixed from (default
-                      42; pinned by the cursor)
-    --threads N       cores == threads (default 2)
-    --scale F         workload scale factor (default 0.05)
-    --checkpoints N   checkpoints per nominal run (default 8)
-    --latency F       detection latency / checkpoint period (default 0.5)
-    --policy P        acr | baseline (default acr)
-    --models LIST     fault-model presets to sweep, comma-separated subset
-                      of recoverable,classic,adversarial,adversarial-storm,
-                      stuck (default all five)
-    --resilience LIST resilience presets to sweep, comma-separated subset
-                      of baseline,nested,watchdog (default all three)
-    --jobs N          worker threads per chunk campaign (0 = auto); chunk
-                      results are byte-identical for every value
-    --cursor FILE     resume from FILE if it exists, and write the
-                      advanced cursor back to it on exit; the cursor pins
-                      seed, chunk size and a grid fingerprint, and carries
-                      a per-combo hash chain proving a resumed soak
-                      continued the exact same stream
-    --postmortem-dir D
-                      write every non-recovered case's bundle into D as
-                      postmortem.<workload>.chunk<NNNN>.case<NNNN>.json
-    --print-metrics   print this invocation's soak.* metrics table
-
-SHRINK OPTIONS:
-    --workload W      workload to plan the dense failing case on
-                      (default cg)
-    --seed N          plan seed (default 42)
-    --faults N        faults in the dense plan — all injected into ONE
-                      case (default 10)
-    --kinds SET       fault kinds the plan draws from (default mem)
-    --storm G,B       cluster the plan's injection points (default off)
-    --threads N       cores == threads (default 2)
-    --scale F         workload scale factor (default 0.05)
-    --checkpoints N   checkpoints per nominal run (default 4)
-    --latency F       detection latency / checkpoint period (default 0.5)
-    --policy P        acr | baseline (default acr)
-    --recovery-faults strike the case's first recovery with a nested
-                      recovery-window fault (global scheme only)
-    --generations N   checkpoint generations retained (default 1)
-    --watchdog-budget N
-                      recovery-watchdog cycle budget (default 0 = off)
-    --case N          case index (seeds per-case machinery; default 0)
-    --jobs N          worker threads evaluating ddmin candidates (0 =
-                      auto); the shrunk plan is identical for every value
-    --max-evals N     engine-run evaluation budget (default 2048)
-    --out FILE        repro document path (default
-                      repro.<workload>.case<NNNN>.json)
-    --replay FILE     instead of shrinking, re-run FILE's minimal plan
-                      once: exit 1 if it still fails (printing the
-                      trigger), 0 if it no longer reproduces
-
-EXIT CODES (uniform across subcommands):
-    0   success — the run completed and every gate passed (`explain`
-        exits 0 whenever the bundle parses; `shrink --replay` exits 0
-        when the repro no longer fails)
-    1   gate or divergence failure — `inject` saw diverged or aborted
-        cases, `soak` saw silent data corruption, `shrink --replay`
-        reproduced its failure, or `diff` found a regression
-    2   usage or configuration error — unknown flag or subcommand, bad
-        value, unreadable input; the message is a single `error: …`
-        line on stderr
-
-Every quantity the campaign reports is derived from the seeded plan and
-the deterministic simulator — two invocations with the same options
-produce byte-identical output (the content hash makes that checkable,
-and `cmp` on two same-seed trace files does too). Manifests keep the two
-worlds apart: the sim section is byte-identical across machines and
---jobs values, the host.* section is honest wall-clock and only ever
-compared with a tolerance band.
-";
-
-struct InjectArgs {
+/// Every knob of every subcommand, held once. Each subcommand starts from
+/// its own defaults ([`Subcommand::defaults`]); the base values below are
+/// `inject`'s.
+#[derive(Debug, Clone, PartialEq)]
+struct CliArgs {
+    // Workload, machine and fault plan.
+    /// Campaign, fault-placement or plan seed; the workload-generator seed
+    /// in `experiment`.
     seed: u64,
     faults: u32,
     workloads: Vec<Benchmark>,
+    /// Cores == threads.
     threads: u32,
     scale: f64,
     checkpoints: u32,
@@ -283,23 +67,58 @@ struct InjectArgs {
     kinds: FaultKindSet,
     storm: Option<FaultStorm>,
     watchdog_budget: u64,
+    /// `--policy acr` (ACR's amnesic policy) or `baseline` (log everything).
     amnesic: bool,
     scheme: Scheme,
-    csv_dir: Option<String>,
-    metrics_out: Option<String>,
-    sample_interval: u64,
     recovery_faults: bool,
     generations: u32,
+    sample_interval: u64,
+    // Execution and reporting.
     jobs: usize,
     progress: bool,
+    print_metrics: bool,
+    // Output files.
+    csv_dir: Option<String>,
+    metrics_out: Option<String>,
     manifest_out: Option<String>,
     postmortem_dir: Option<String>,
-    print_metrics: bool,
+    /// The trace (`trace`), manifest (`bench`) or repro document (`shrink`).
+    out: Option<String>,
+    // trace and profile.
+    detail: bool,
+    flame_out: String,
+    ledger_out: String,
+    trace_out: Option<String>,
+    top: usize,
+    // bench.
+    name: String,
+    reps: u32,
+    warmup: u32,
+    // diff.
+    diff: DiffOptions,
+    // soak.
+    cases: u64,
+    budget_secs: u64,
+    chunk: u32,
+    models: Vec<SoakModel>,
+    resilience: Vec<SoakResilience>,
+    cursor: Option<String>,
+    // shrink.
+    case: usize,
+    max_evals: u64,
+    replay: Option<String>,
+    // experiment.
+    errors: u32,
+    threshold: Option<usize>,
+    addrmap: Option<usize>,
+    secondary: Option<u32>,
+    adaptive: bool,
+    oracle: bool,
 }
 
-impl Default for InjectArgs {
+impl Default for CliArgs {
     fn default() -> Self {
-        InjectArgs {
+        CliArgs {
             seed: 42,
             faults: 1000,
             workloads: vec![Benchmark::Is, Benchmark::Cg, Benchmark::Mg],
@@ -312,158 +131,319 @@ impl Default for InjectArgs {
             watchdog_budget: 0,
             amnesic: true,
             scheme: Scheme::GlobalCoordinated,
-            csv_dir: None,
-            metrics_out: None,
-            sample_interval: 0,
             recovery_faults: false,
             generations: 1,
+            sample_interval: 0,
             jobs: 0,
             progress: false,
+            print_metrics: false,
+            csv_dir: None,
+            metrics_out: None,
             manifest_out: None,
             postmortem_dir: None,
-            print_metrics: false,
+            out: None,
+            detail: false,
+            flame_out: "run.folded".to_owned(),
+            ledger_out: "run.ledger.txt".to_owned(),
+            trace_out: None,
+            top: 10,
+            name: "ref".to_owned(),
+            reps: 5,
+            warmup: 1,
+            diff: DiffOptions::default(),
+            cases: 500,
+            budget_secs: 0,
+            chunk: 25,
+            models: default_models(),
+            resilience: default_resilience(),
+            cursor: None,
+            case: 0,
+            max_evals: 2048,
+            replay: None,
+            errors: 0,
+            threshold: None,
+            addrmap: None,
+            secondary: None,
+            adaptive: false,
+            oracle: false,
         }
     }
 }
 
-fn parse_inject(args: &[String]) -> Result<InjectArgs, String> {
-    let mut out = InjectArgs::default();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        // Valueless flags first — everything else takes a value.
-        if flag == "--recovery-faults" {
-            out.recovery_faults = true;
-            i += 1;
-            continue;
-        }
-        if flag == "--progress" {
-            out.progress = true;
-            i += 1;
-            continue;
-        }
-        if flag == "--print-metrics" {
-            out.print_metrics = true;
-            i += 1;
-            continue;
-        }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| format!("{flag} needs a value"))?;
-        match flag {
-            "--seed" => out.seed = value.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--faults" => {
-                out.faults = value.parse().map_err(|e| format!("--faults: {e}"))?;
-                if out.faults == 0 {
-                    return Err("--faults must be positive".into());
-                }
-            }
-            "--workloads" => {
-                out.workloads = value
-                    .split(',')
-                    .map(|n| {
-                        Benchmark::from_name(n.trim())
-                            .ok_or_else(|| format!("unknown workload `{n}`"))
-                    })
-                    .collect::<Result<_, _>>()?;
-                if out.workloads.is_empty() {
-                    return Err("--workloads must name at least one workload".into());
-                }
-            }
-            "--threads" => {
-                out.threads = value.parse().map_err(|e| format!("--threads: {e}"))?;
-                if out.threads == 0 {
-                    return Err("--threads must be positive".into());
-                }
-            }
-            "--scale" => out.scale = value.parse().map_err(|e| format!("--scale: {e}"))?,
-            "--checkpoints" => {
-                out.checkpoints = value.parse().map_err(|e| format!("--checkpoints: {e}"))?;
-            }
-            "--latency" => {
-                out.latency = value.parse().map_err(|e| format!("--latency: {e}"))?;
-                if !(0.0..=1.0).contains(&out.latency) {
-                    return Err("--latency must be within [0, 1]".into());
-                }
-            }
-            "--kinds" => out.kinds = FaultKindSet::parse(value)?,
-            "--storm" => {
-                out.storm = Some(FaultStorm::parse(value).map_err(|e| format!("--storm: {e}"))?)
-            }
-            "--watchdog-budget" => {
-                out.watchdog_budget = value
-                    .parse()
-                    .map_err(|e| format!("--watchdog-budget: {e}"))?;
-            }
-            "--policy" => {
-                out.amnesic = match value.as_str() {
-                    "acr" => true,
-                    "baseline" => false,
-                    other => return Err(format!("unknown policy `{other}`")),
-                };
-            }
-            "--scheme" => {
-                out.scheme = match value.as_str() {
-                    "global" => Scheme::GlobalCoordinated,
-                    "local" => Scheme::LocalCoordinated,
-                    other => return Err(format!("unknown scheme `{other}`")),
-                };
-            }
-            "--csv" => out.csv_dir = Some(value.clone()),
-            "--metrics-out" => out.metrics_out = Some(value.clone()),
-            "--sample-interval" => {
-                out.sample_interval = value
-                    .parse()
-                    .map_err(|e| format!("--sample-interval: {e}"))?;
-            }
-            "--generations" => {
-                out.generations = value.parse().map_err(|e| format!("--generations: {e}"))?;
-                if out.generations == 0 {
-                    return Err("--generations must be positive".into());
-                }
-            }
-            "--jobs" => out.jobs = value.parse().map_err(|e| format!("--jobs: {e}"))?,
-            "--manifest-out" => out.manifest_out = Some(value.clone()),
-            "--postmortem-dir" => out.postmortem_dir = Some(value.clone()),
-            other => return Err(format!("unknown option `{other}`")),
-        }
-        i += 2;
+impl CliArgs {
+    /// `bench`'s program at the configured threads and scale.
+    fn program(&self, bench: Benchmark) -> Program {
+        generate(
+            bench,
+            &WorkloadConfig::default()
+                .with_threads(self.threads)
+                .with_scale(self.scale),
+        )
     }
-    if out.metrics_out.is_some() && out.sample_interval == 0 {
-        out.sample_interval = 5000;
+
+    /// The experiment spec every subcommand starts from: one core per
+    /// thread and `bench`'s default Slice threshold.
+    fn spec(&self, bench: Benchmark) -> ExperimentSpec {
+        ExperimentSpec::default()
+            .with_cores(self.threads)
+            .with_threshold(bench.default_threshold())
     }
-    Ok(out)
+
+    /// An [`Experiment`] over [`Self::program`] under [`Self::spec`].
+    fn experiment(&self, bench: Benchmark) -> Result<Experiment, String> {
+        Experiment::new(self.program(bench), self.spec(bench))
+            .map_err(|e| format!("{}: {e}", bench.name()))
+    }
+
+    /// The campaign the fault-plan knobs describe (one job: `inject`
+    /// shards through the sweep, `shrink` through [`ShrinkConfig`]).
+    fn campaign(&self) -> CampaignConfig {
+        CampaignConfig {
+            seed: self.seed,
+            count: self.faults,
+            kinds: self.kinds,
+            storm: self.storm,
+            num_checkpoints: self.checkpoints,
+            detection_latency_frac: self.latency,
+            scheme: self.scheme,
+            sample_interval: self.sample_interval,
+            recovery_faults: self.recovery_faults,
+            generations: self.generations,
+            watchdog_budget_cycles: self.watchdog_budget,
+            progress: self.progress,
+            ..CampaignConfig::default()
+        }
+    }
+
+    /// The single workload of `shrink` and `experiment`.
+    fn workload(&self) -> Result<Benchmark, String> {
+        match self.workloads[..] {
+            [bench] => Ok(bench),
+            _ => Err("--workload takes exactly one workload here".into()),
+        }
+    }
+
+    /// The `--policy` value.
+    fn policy(&self) -> &'static str {
+        if self.amnesic {
+            "acr"
+        } else {
+            "baseline"
+        }
+    }
+
+    /// `inject` and `bench`: `--metrics-out` without `--sample-interval`
+    /// samples every 5000 cycles.
+    fn with_sampling_default(mut self) -> Self {
+        if self.metrics_out.is_some() && self.sample_interval == 0 {
+            self.sample_interval = 5000;
+        }
+        self
+    }
 }
 
-/// The sim-relevant configuration of an inject-style campaign as ordered
-/// manifest pairs. Execution knobs that must not change results (`--jobs`,
-/// `--progress`, output paths) are deliberately excluded so the manifest's
-/// gated section stays identical across them.
-fn inject_config(a: &InjectArgs) -> Vec<(String, String)> {
-    let workloads: Vec<&str> = a.workloads.iter().map(|b| b.name()).collect();
-    [
-        ("seed", a.seed.to_string()),
-        ("faults", a.faults.to_string()),
-        ("workloads", workloads.join(",")),
-        ("threads", a.threads.to_string()),
-        ("scale", a.scale.to_string()),
-        ("checkpoints", a.checkpoints.to_string()),
-        ("latency", a.latency.to_string()),
-        ("kinds", kinds_str(a.kinds)),
-        ("storm", storm_str(a.storm)),
-        ("watchdog_budget", a.watchdog_budget.to_string()),
-        (
-            "policy",
-            (if a.amnesic { "acr" } else { "baseline" }).to_string(),
-        ),
-        ("scheme", scheme_str(a.scheme).to_string()),
-        ("recovery_faults", a.recovery_faults.to_string()),
-        ("generations", a.generations.to_string()),
-        ("sample_interval", a.sample_interval.to_string()),
-    ]
-    .into_iter()
-    .map(|(k, v)| (k.to_string(), v))
-    .collect()
+/// One row of the flag table.
+struct Flag {
+    name: &'static str,
+    /// Value placeholder for the usage text; `None` for a switch.
+    arg: Option<&'static str>,
+    /// One usage line; the subcommand's default is appended to it.
+    help: &'static str,
+    /// Applies the flag's value (`""` for a switch).
+    set: fn(&mut CliArgs, &str) -> Result<(), String>,
+    /// The value as the flag accepts it (`""` for a switch that is on);
+    /// `None` when unset.
+    show: fn(&CliArgs) -> Option<String>,
+}
+
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    // Workload, machine and fault plan.
+    Flag { name: "--workload", arg: Some("W"), help: "workload(s), comma-separated",
+        set: |a, v| workloads(v).map(|w| a.workloads = w), show: |a| Some(names(&a.workloads)) },
+    Flag { name: "--workloads", arg: Some("LIST"), help: "comma-separated workload names",
+        set: |a, v| workloads(v).map(|w| a.workloads = w), show: |a| Some(names(&a.workloads)) },
+    Flag { name: "--threads", arg: Some("N"), help: "cores == threads, 1 to 64",
+        set: |a, v| threads(v).map(|n| a.threads = n), show: |a| Some(a.threads.to_string()) },
+    Flag { name: "--scale", arg: Some("F"), help: "workload scale factor, > 0",
+        set: |a, v| scale(v).map(|f| a.scale = f), show: |a| Some(a.scale.to_string()) },
+    Flag { name: "--seed", arg: Some("N"), help: "seed (experiment: the workload generator's)",
+        set: |a, v| parse(v).map(|n| a.seed = n), show: |a| Some(a.seed.to_string()) },
+    Flag { name: "--faults", arg: Some("N"), help: "faults to inject",
+        set: |a, v| positive(v).map(|n| a.faults = n), show: |a| Some(a.faults.to_string()) },
+    Flag { name: "--kinds", arg: Some("SET"), help: "all | recoverable | adversarial | reg,pc,mem,burst,stuck,crash",
+        set: |a, v| FaultKindSet::parse(v).map(|k| a.kinds = k), show: |a| Some(kinds_str(a.kinds)) },
+    Flag { name: "--storm", arg: Some("G,B"), help: "Poisson fault storms: mean gap G, up to B faults (default off)",
+        set: |a, v| FaultStorm::parse(v).map(|s| a.storm = Some(s)), show: |a| a.storm.map(|s| format!("{},{}", s.mean_gap, s.max_burst)) },
+    Flag { name: "--checkpoints", arg: Some("N"), help: "checkpoints per nominal run",
+        set: |a, v| parse(v).map(|n| a.checkpoints = n), show: |a| Some(a.checkpoints.to_string()) },
+    Flag { name: "--latency", arg: Some("F"), help: "detection latency / checkpoint period, in [0, 1]",
+        set: |a, v| latency(v).map(|f| a.latency = f), show: |a| Some(a.latency.to_string()) },
+    Flag { name: "--watchdog-budget", arg: Some("N"), help: "abort recoveries past N cycles as `hang` (0 = off)",
+        set: |a, v| parse(v).map(|n| a.watchdog_budget = n), show: |a| Some(a.watchdog_budget.to_string()) },
+    Flag { name: "--policy", arg: Some("P"), help: "acr | baseline",
+        set: |a, v| policy(v).map(|p| a.amnesic = p), show: |a| Some(a.policy().to_owned()) },
+    Flag { name: "--scheme", arg: Some("S"), help: "global | local",
+        set: |a, v| scheme(v).map(|s| a.scheme = s), show: |a| Some(scheme_str(a.scheme).to_owned()) },
+    Flag { name: "--recovery-faults", arg: None, help: "also fault each case's first recovery (global only)",
+        set: |a, _| { a.recovery_faults = true; Ok(()) }, show: |a| a.recovery_faults.then(String::new) },
+    Flag { name: "--generations", arg: Some("N"), help: "checkpoint generations kept as rollback fallbacks",
+        set: |a, v| positive(v).map(|n| a.generations = n), show: |a| Some(a.generations.to_string()) },
+    Flag { name: "--sample-interval", arg: Some("N"), help: "metrics sampling interval in cycles (0 = off)",
+        set: |a, v| parse(v).map(|n| a.sample_interval = n), show: |a| Some(a.sample_interval.to_string()) },
+    // Execution and reporting.
+    Flag { name: "--jobs", arg: Some("N"), help: "worker threads (0 = auto); output is jobs-invariant",
+        set: |a, v| parse(v).map(|n| a.jobs = n), show: |a| Some(a.jobs.to_string()) },
+    Flag { name: "--progress", arg: None, help: "print one line per fault case",
+        set: |a, _| { a.progress = true; Ok(()) }, show: |a| a.progress.then(String::new) },
+    Flag { name: "--print-metrics", arg: None, help: "print the metrics as a key/value/unit table",
+        set: |a, _| { a.print_metrics = true; Ok(()) }, show: |a| a.print_metrics.then(String::new) },
+    // Output files.
+    Flag { name: "--csv", arg: Some("DIR"), help: "also write per-case CSVs into DIR",
+        set: |a, v| parse(v).map(|p| a.csv_dir = Some(p)), show: |a| a.csv_dir.clone() },
+    Flag { name: "--metrics-out", arg: Some("F"), help: "write interval metrics samples to F as JSONL",
+        set: |a, v| parse(v).map(|p| a.metrics_out = Some(p)), show: |a| a.metrics_out.clone() },
+    Flag { name: "--manifest-out", arg: Some("F"), help: "write a run manifest (JSON) to F",
+        set: |a, v| parse(v).map(|p| a.manifest_out = Some(p)), show: |a| a.manifest_out.clone() },
+    Flag { name: "--postmortem-dir", arg: Some("D"), help: "write a postmortem bundle per failed case into D",
+        set: |a, v| parse(v).map(|p| a.postmortem_dir = Some(p)), show: |a| a.postmortem_dir.clone() },
+    Flag { name: "--out", arg: Some("FILE"), help: "output file",
+        set: |a, v| parse(v).map(|p| a.out = Some(p)), show: |a| a.out.clone() },
+    // trace and profile.
+    Flag { name: "--detail", arg: Some("FLAG"), help: "on | off: per-store/assoc/miss trace instants",
+        set: |a, v| on_off(v).map(|d| a.detail = d), show: |a| Some((if a.detail { "on" } else { "off" }).to_owned()) },
+    Flag { name: "--flame-out", arg: Some("F"), help: "collapsed-stack flamegraph output",
+        set: |a, v| parse(v).map(|p| a.flame_out = p), show: |a| Some(a.flame_out.clone()) },
+    Flag { name: "--ledger-out", arg: Some("F"), help: "omission-decision ledger text output",
+        set: |a, v| parse(v).map(|p| a.ledger_out = p), show: |a| Some(a.ledger_out.clone()) },
+    Flag { name: "--trace-out", arg: Some("F"), help: "also write a Chrome trace with profile counters",
+        set: |a, v| parse(v).map(|p| a.trace_out = Some(p)), show: |a| a.trace_out.clone() },
+    Flag { name: "--top", arg: Some("N"), help: "hottest attribution sites to print",
+        set: |a, v| parse(v).map(|n| a.top = n), show: |a| Some(a.top.to_string()) },
+    // bench.
+    Flag { name: "--name", arg: Some("NAME"), help: "benchmark name",
+        set: |a, v| parse(v).map(|s| a.name = s), show: |a| Some(a.name.clone()) },
+    Flag { name: "--reps", arg: Some("N"), help: "timed repetitions",
+        set: |a, v| positive(v).map(|n| a.reps = n), show: |a| Some(a.reps.to_string()) },
+    Flag { name: "--warmup", arg: Some("N"), help: "untimed warmup repetitions",
+        set: |a, v| parse(v).map(|n| a.warmup = n), show: |a| Some(a.warmup.to_string()) },
+    // diff.
+    Flag { name: "--tolerance-pct", arg: Some("F"), help: "allowed host-timing growth in percent",
+        set: |a, v| tolerance(v).map(|t| a.diff.tolerance_pct = t), show: |a| Some(a.diff.tolerance_pct.to_string()) },
+    Flag { name: "--host-gate", arg: Some("FLAG"), help: "on | off | tput: gate wall time, nothing or throughput",
+        set: |a, v| host_gate(v).map(|g| (a.diff.gate_host, a.diff.gate_tput) = g), show: |a| Some(host_gate_str(a.diff).to_owned()) },
+    // soak.
+    Flag { name: "--cases", arg: Some("N"), help: "stop at N finished cases, resumed ones included",
+        set: |a, v| positive(v).map(|n| a.cases = n), show: |a| Some(a.cases.to_string()) },
+    Flag { name: "--budget-secs", arg: Some("N"), help: "also stop after N wall-clock seconds (0 = off)",
+        set: |a, v| parse(v).map(|n| a.budget_secs = n), show: |a| Some(a.budget_secs.to_string()) },
+    Flag { name: "--chunk", arg: Some("N"), help: "cases per chunk (pinned by the cursor)",
+        set: |a, v| positive(v).map(|n| a.chunk = n), show: |a| Some(a.chunk.to_string()) },
+    Flag { name: "--models", arg: Some("LIST"), help: "fault-model presets to sweep",
+        set: |a, v| pick_presets(v, &default_models(), |m| &m.label).map(|m| a.models = m), show: |a| Some(labels(&a.models, |m| &m.label)) },
+    Flag { name: "--resilience", arg: Some("LIST"), help: "resilience presets to sweep",
+        set: |a, v| pick_presets(v, &default_resilience(), |r| &r.label).map(|r| a.resilience = r), show: |a| Some(labels(&a.resilience, |r| &r.label)) },
+    Flag { name: "--cursor", arg: Some("FILE"), help: "resume from, and save, the soak cursor in FILE",
+        set: |a, v| parse(v).map(|p| a.cursor = Some(p)), show: |a| a.cursor.clone() },
+    // shrink.
+    Flag { name: "--case", arg: Some("N"), help: "case index (seeds per-case machinery)",
+        set: |a, v| parse(v).map(|n| a.case = n), show: |a| Some(a.case.to_string()) },
+    Flag { name: "--max-evals", arg: Some("N"), help: "engine-run evaluation budget",
+        set: |a, v| positive(v).map(|n| a.max_evals = n), show: |a| Some(a.max_evals.to_string()) },
+    Flag { name: "--replay", arg: Some("FILE"), help: "re-run FILE's minimal plan once; exit 1 if it fails",
+        set: |a, v| parse(v).map(|p| a.replay = Some(p)), show: |a| a.replay.clone() },
+    // experiment.
+    Flag { name: "--errors", arg: Some("N"), help: "errors injected into the checkpointed runs",
+        set: |a, v| parse(v).map(|n| a.errors = n), show: |a| Some(a.errors.to_string()) },
+    Flag { name: "--threshold", arg: Some("N"), help: "Slice length threshold (default per workload)",
+        set: |a, v| parse(v).map(|n| a.threshold = Some(n)), show: |a| a.threshold.map(|n| n.to_string()) },
+    Flag { name: "--addrmap", arg: Some("N"), help: "AddrMap capacity per core (default 16384)",
+        set: |a, v| parse(v).map(|n| a.addrmap = Some(n)), show: |a| a.addrmap.map(|n| n.to_string()) },
+    Flag { name: "--secondary", arg: Some("K"), help: "level-2 checkpoint every K-th checkpoint",
+        set: |a, v| parse(v).map(|n| a.secondary = Some(n)), show: |a| a.secondary.map(|n| n.to_string()) },
+    Flag { name: "--adaptive", arg: None, help: "recomputation-aware placement (with --policy acr)",
+        set: |a, _| { a.adaptive = true; Ok(()) }, show: |a| a.adaptive.then(String::new) },
+    Flag { name: "--oracle", arg: None, help: "verify recoveries against shadow copies",
+        set: |a, _| { a.oracle = true; Ok(()) }, show: |a| a.oracle.then(String::new) },
+];
+
+/// The flag-table row named `name`.
+fn flag(name: &str) -> &'static Flag {
+    FLAGS
+        .iter()
+        .find(|f| f.name == name)
+        .expect("subcommands only name flags of the table")
+}
+
+/// A flag value parsed with its type's `FromStr`.
+fn parse<T: FromStr>(v: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    v.parse().map_err(|e: T::Err| e.to_string())
+}
+
+/// A count that must be positive.
+fn positive<T: FromStr + Default + PartialEq>(v: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    let n = parse(v)?;
+    if n == T::default() {
+        return Err("must be positive".into());
+    }
+    Ok(n)
+}
+
+/// A thread count the machine's one-bit-per-core masks can hold. Checked
+/// before any workload is generated.
+fn threads(v: &str) -> Result<u32, String> {
+    let n = parse(v)?;
+    if !(1..=MAX_CORES).contains(&n) {
+        return Err(format!("must be within 1..={MAX_CORES}"));
+    }
+    Ok(n)
+}
+
+fn scale(v: &str) -> Result<f64, String> {
+    let f: f64 = parse(v)?;
+    if !(f.is_finite() && f > 0.0) {
+        return Err("must be finite and positive".into());
+    }
+    Ok(f)
+}
+
+fn latency(v: &str) -> Result<f64, String> {
+    let f = parse(v)?;
+    if !(0.0..=1.0).contains(&f) {
+        return Err("must be within [0, 1]".into());
+    }
+    Ok(f)
+}
+
+fn tolerance(v: &str) -> Result<f64, String> {
+    let f: f64 = parse(v)?;
+    if f.is_nan() || f < 0.0 {
+        return Err("must be non-negative".into());
+    }
+    Ok(f)
+}
+
+/// `true` for `--policy acr`, `false` for `baseline`.
+fn policy(v: &str) -> Result<bool, String> {
+    match v {
+        "acr" => Ok(true),
+        "baseline" => Ok(false),
+        other => Err(format!("unknown policy `{other}`")),
+    }
+}
+
+fn scheme(v: &str) -> Result<Scheme, String> {
+    match v {
+        "global" => Ok(Scheme::GlobalCoordinated),
+        "local" => Ok(Scheme::LocalCoordinated),
+        other => Err(format!("unknown scheme `{other}`")),
+    }
 }
 
 fn scheme_str(s: Scheme) -> &'static str {
@@ -471,6 +451,73 @@ fn scheme_str(s: Scheme) -> &'static str {
         Scheme::GlobalCoordinated => "global",
         Scheme::LocalCoordinated => "local",
     }
+}
+
+fn on_off(v: &str) -> Result<bool, String> {
+    match v {
+        "on" => Ok(true),
+        "off" => Ok(false),
+        other => Err(format!("takes on|off, got `{other}`")),
+    }
+}
+
+/// `(gate_host, gate_tput)` of a `--host-gate` value. In `tput` mode wall
+/// time stays report-only (noisy on shared runners), but a drop in
+/// simulated cycles per host second beyond the tolerance fails.
+fn host_gate(v: &str) -> Result<(bool, bool), String> {
+    match v {
+        "on" => Ok((true, false)),
+        "off" => Ok((false, false)),
+        "tput" => Ok((false, true)),
+        other => Err(format!("takes on|off|tput, got `{other}`")),
+    }
+}
+
+fn host_gate_str(d: DiffOptions) -> &'static str {
+    match (d.gate_host, d.gate_tput) {
+        (true, _) => "on",
+        (false, true) => "tput",
+        (false, false) => "off",
+    }
+}
+
+/// A comma-separated workload list.
+fn workloads(v: &str) -> Result<Vec<Benchmark>, String> {
+    v.split(',')
+        .map(|n| Benchmark::from_name(n.trim()).ok_or_else(|| format!("unknown workload `{n}`")))
+        .collect()
+}
+
+fn names(list: &[Benchmark]) -> String {
+    let names: Vec<&str> = list.iter().map(|b| b.name()).collect();
+    names.join(",")
+}
+
+/// Selects presets by label from `all`, preserving the canonical order
+/// (the grid fingerprint depends on it, so a reordered `--models` list
+/// still resumes the same soak).
+fn pick_presets<T: Clone>(
+    v: &str,
+    all: &[T],
+    label: impl Fn(&T) -> &String,
+) -> Result<Vec<T>, String> {
+    let wanted: Vec<&str> = v.split(',').map(str::trim).collect();
+    if let Some(w) = wanted.iter().find(|w| !all.iter().any(|p| label(p) == *w)) {
+        return Err(format!(
+            "unknown preset `{w}` (known: {})",
+            labels(all, label)
+        ));
+    }
+    Ok(all
+        .iter()
+        .filter(|p| wanted.contains(&label(p).as_str()))
+        .cloned()
+        .collect())
+}
+
+fn labels<T>(presets: &[T], label: impl Fn(&T) -> &String) -> String {
+    let labels: Vec<&str> = presets.iter().map(|p| label(p).as_str()).collect();
+    labels.join(",")
 }
 
 /// The fault-kind set as the comma list `--kinds` accepts.
@@ -497,51 +544,285 @@ fn kinds_str(k: FaultKindSet) -> String {
     kinds.join(",")
 }
 
-/// A storm schedule as the `G,B` spec `--storm` accepts (`off` when
-/// placement is uniform).
-fn storm_str(s: Option<FaultStorm>) -> String {
-    match s {
-        Some(s) => format!("{},{}", s.mean_gap, s.max_burst),
-        None => "off".to_string(),
+/// One subcommand: its defaults and the flags it accepts.
+struct Subcommand {
+    name: &'static str,
+    /// Positional operands for the usage line; empty when it takes none.
+    operands: &'static str,
+    /// Usage summary, one `\n`-separated line per row.
+    about: &'static str,
+    defaults: fn() -> CliArgs,
+    /// Accepted flags, in usage order, as groups of table names.
+    flags: &'static [&'static [&'static str]],
+    run: fn(CliArgs, &[String]) -> Result<ExitCode, String>,
+}
+
+#[rustfmt::skip]
+const INJECT_FLAGS: &[&str] = &[
+    "--seed", "--faults", "--workloads", "--threads", "--scale", "--checkpoints", "--latency", "--kinds",
+    "--storm", "--watchdog-budget", "--policy", "--scheme", "--csv", "--metrics-out", "--sample-interval",
+    "--recovery-faults", "--generations", "--jobs", "--progress", "--manifest-out", "--postmortem-dir",
+    "--print-metrics",
+];
+
+#[rustfmt::skip]
+const SUBCOMMANDS: &[Subcommand] = &[
+    Subcommand { name: "inject", operands: "", about: "run a deterministic fault-injection campaign",
+        defaults: CliArgs::default, flags: &[INJECT_FLAGS], run: |a, _| inject(a) },
+    Subcommand { name: "trace", operands: "", about: "trace one ACR run under injected faults",
+        defaults: || CliArgs { workloads: vec![Benchmark::Cg], threads: 2, faults: 1, sample_interval: 5000,
+                               out: Some("run.trace.json".to_owned()), ..CliArgs::default() },
+        flags: &[&["--workload", "--jobs", "--out", "--metrics-out", "--sample-interval", "--seed", "--faults",
+                   "--threads", "--scale", "--checkpoints", "--scheme", "--detail", "--print-metrics", "--manifest-out"]],
+        run: |a, _| trace(a) },
+    Subcommand { name: "profile", operands: "",
+        about: "attribution-profile one ACR run: per-PC cycle\naccounting, omission-decision ledger,\nflamegraph export",
+        defaults: || CliArgs { workloads: vec![Benchmark::Cg], threads: 2, faults: 1, ..CliArgs::default() },
+        flags: &[&["--workload", "--jobs", "--seed", "--faults", "--threads", "--scale", "--checkpoints", "--scheme",
+                   "--flame-out", "--ledger-out", "--trace-out", "--top", "--manifest-out"]],
+        run: |a, _| profile(a) },
+    Subcommand { name: "bench", operands: "",
+        about: "time the reference campaign (inject's flags;\n200 faults, 1 job) over warmup + N repetitions;\nwrite a BENCH_<name>.json manifest",
+        defaults: || CliArgs { faults: 200, jobs: 1, ..CliArgs::default() },
+        flags: &[INJECT_FLAGS, &["--name", "--reps", "--warmup", "--out"]], run: |a, _| bench(a) },
+    Subcommand { name: "diff", operands: "BASE CAND",
+        about: "compare two run manifests: byte-exact on sim\nhashes and the metrics digest, tolerance-band\non host timings; exit 1 on any regression",
+        defaults: CliArgs::default, flags: &[&["--tolerance-pct", "--host-gate"]], run: diff },
+    Subcommand { name: "explain", operands: "BUNDLE.json",
+        about: "render a postmortem bundle as a triage report:\nfault chain, invariants, escalation ladder,\nflight-recorder timeline, probable cause",
+        defaults: CliArgs::default, flags: &[], run: |_, operands| explain(operands) },
+    Subcommand { name: "soak", operands: "",
+        about: "run a resumable randomized soak: chunked\ncampaigns over a workload x fault-model x\nresilience grid, cases classified\nrecovered/due/sdc/hang",
+        defaults: || CliArgs { workloads: vec![Benchmark::Is, Benchmark::Cg], threads: 2, checkpoints: 8, ..CliArgs::default() },
+        flags: &[&["--workloads", "--cases", "--budget-secs", "--chunk", "--seed", "--threads", "--scale", "--checkpoints",
+                   "--latency", "--policy", "--models", "--resilience", "--jobs", "--cursor", "--postmortem-dir",
+                   "--print-metrics"]],
+        run: |a, _| soak(a) },
+    Subcommand { name: "shrink", operands: "",
+        about: "delta-debug one failing fault case down to a\nminimal reproducer with the same postmortem\ntrigger; writes an acr.repro.v1 JSON",
+        defaults: || CliArgs {
+            workloads: vec![Benchmark::Cg], threads: 2, faults: 10, checkpoints: 4,
+            kinds: FaultKindSet { reg: false, pc: false, mem: true, burst: false, stuck: false, crash: false },
+            ..CliArgs::default()
+        },
+        flags: &[&["--workload", "--seed", "--faults", "--kinds", "--storm", "--threads", "--scale", "--checkpoints",
+                   "--latency", "--policy", "--recovery-faults", "--generations", "--watchdog-budget", "--case", "--jobs",
+                   "--max-evals", "--out", "--replay"]],
+        run: |a, _| shrink(a) },
+    Subcommand { name: "experiment", operands: "",
+        about: "run one workload's No_Ckpt baseline and its\ncheckpointed configurations under the paper's\nknobs",
+        defaults: || CliArgs {
+            workloads: vec![Benchmark::Bt], threads: 8, scale: 1.0, seed: WorkloadConfig::default().seed,
+            checkpoints: 25, ..CliArgs::default()
+        },
+        flags: &[&["--workload", "--threads", "--scale", "--seed", "--checkpoints", "--errors", "--threshold", "--scheme",
+                   "--latency", "--addrmap", "--secondary", "--adaptive", "--oracle", "--policy"]],
+        run: |a, _| experiment(a) },
+    Subcommand { name: "workloads", operands: "", about: "list the bundled workloads",
+        defaults: CliArgs::default, flags: &[], run: |_, _| workloads_list() },
+    Subcommand { name: "help", operands: "", about: "show this message",
+        defaults: CliArgs::default, flags: &[], run: |_, _| { print!("{}", usage()); Ok(ExitCode::SUCCESS) } },
+];
+
+impl Subcommand {
+    fn named(name: &str) -> Option<&'static Subcommand> {
+        SUBCOMMANDS.iter().find(|s| s.name == name)
     }
+
+    fn flag_names(&self) -> impl Iterator<Item = &'static str> {
+        self.flags.iter().flat_map(|group| group.iter().copied())
+    }
+
+    /// Parses `args`: the subcommand's defaults, then each flag in turn.
+    /// Arguments that do not start with `--` are returned as operands.
+    fn parse(&self, args: &[String]) -> Result<(CliArgs, Vec<String>), String> {
+        let mut a = (self.defaults)();
+        let mut operands = Vec::new();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if !arg.starts_with("--") {
+                operands.push(arg.clone());
+                continue;
+            }
+            if !self.flag_names().any(|f| f == arg) {
+                return Err(format!("unknown option `{arg}`"));
+            }
+            let f = flag(arg);
+            let value = match f.arg {
+                Some(_) => args.next().ok_or_else(|| format!("{arg} needs a value"))?,
+                None => "",
+            };
+            (f.set)(&mut a, value).map_err(|e| format!("{arg}: {e}"))?;
+        }
+        if self.operands.is_empty() {
+            if let Some(op) = operands.first() {
+                return Err(format!("{} takes no operand, got `{op}`", self.name));
+            }
+        }
+        Ok((a, operands))
+    }
+}
+
+/// `acr_cli <sub>` plus flags of `a`: those in `always` unconditionally,
+/// those in `changed` only where they differ from the subcommand's
+/// defaults. Switches appear bare.
+fn command_line(sub: &str, a: &CliArgs, always: &[&str], changed: &[&str]) -> String {
+    let defaults = (Subcommand::named(sub).expect("a subcommand").defaults)();
+    let mut out = format!("acr_cli {sub}");
+    for &name in always.iter().chain(changed) {
+        let f = flag(name);
+        let value = (f.show)(a);
+        if !always.contains(&name) && value == (f.show)(&defaults) {
+            continue;
+        }
+        let _ = match value {
+            Some(v) if v.is_empty() => write!(out, " {name}"),
+            Some(v) => write!(out, " {name} {v}"),
+            None => Ok(()),
+        };
+    }
+    out
+}
+
+/// The usage text: the subcommand list, then each subcommand's flags
+/// with its own defaults.
+fn usage() -> String {
+    let mut out = String::from(
+        "acr_cli — ACR (Amnesic Checkpointing and Recovery) reproduction driver\n\nUSAGE:\n",
+    );
+    for sub in SUBCOMMANDS {
+        let head = match (sub.operands, sub.flags.is_empty()) {
+            ("", false) => format!("acr_cli {} [OPTIONS]", sub.name),
+            ("", true) => format!("acr_cli {}", sub.name),
+            (ops, false) => format!("acr_cli {} {ops} [OPTIONS]", sub.name),
+            (ops, true) => format!("acr_cli {} {ops}", sub.name),
+        };
+        let mut about = sub.about.lines();
+        let first = about.next().unwrap_or_default();
+        let _ = if head.len() < 29 {
+            writeln!(out, "    {head:<29}{first}")
+        } else {
+            writeln!(out, "    {head}\n{:33}{first}", "")
+        };
+        for line in about {
+            let _ = writeln!(out, "{:33}{line}", "");
+        }
+    }
+    for sub in SUBCOMMANDS.iter().filter(|s| !s.flags.is_empty()) {
+        let _ = writeln!(out, "\n{} OPTIONS:", sub.name.to_uppercase());
+        let defaults = (sub.defaults)();
+        for f in sub.flag_names().map(flag) {
+            let head = f
+                .arg
+                .map_or(f.name.to_owned(), |arg| format!("{} {arg}", f.name));
+            let default = match (f.arg, (f.show)(&defaults)) {
+                (Some(_), Some(d)) => format!(" (default {d})"),
+                _ => String::new(),
+            };
+            let _ = if head.len() < 18 {
+                writeln!(out, "    {head:<18}{}{default}", f.help)
+            } else {
+                writeln!(out, "    {head}\n{:22}{}{default}", "", f.help)
+            };
+        }
+    }
+    out.push_str(USAGE_NOTES);
+    out
+}
+
+const USAGE_NOTES: &str = "
+NOTES:
+    --jobs 0 means ACR_JOBS from the environment, else the available
+    parallelism; every byte of output except host.* timings is the same
+    for every value. inject samples every 5000 cycles when --metrics-out
+    is given without --sample-interval; trace requires a positive
+    interval. trace and profile with several workloads give each output
+    file a .<name> suffix before its extension. bench writes
+    BENCH_<name>.json and shrink repro.<workload>.case<NNNN>.json unless
+    --out is given. inject writes postmortem.<workload>.case<NNNN>.json
+    bundles, soak postmortem.<workload>.chunk<NNNN>.case<NNNN>.json. A
+    soak cursor pins the seed, the chunk size and a grid fingerprint.
+    diff --host-gate tput fails on a host.tput.cycles_per_sec drop beyond
+    the tolerance, never on growth; sim mismatches always fail.
+
+EXIT CODES (uniform across subcommands):
+    0   success — the run completed and every gate passed (`explain`
+        exits 0 whenever the bundle parses; `shrink --replay` exits 0
+        when the repro no longer fails)
+    1   gate or divergence failure — `inject` saw diverged or aborted
+        cases, `soak` saw silent data corruption, `shrink --replay`
+        reproduced its failure, or `diff` found a regression
+    2   usage or configuration error — unknown flag or subcommand, bad
+        value, unreadable input; the message is a single `error: …`
+        line on stderr
+
+Every quantity the campaign reports is derived from the seeded plan and
+the deterministic simulator — two invocations with the same options
+produce byte-identical output (the content hash makes that checkable,
+and `cmp` on two same-seed trace files does too). Manifests keep the two
+worlds apart: the sim section is byte-identical across machines and
+--jobs values, the host.* section is honest wall-clock and only ever
+compared with a tolerance band.
+";
+
+/// The sim-relevant configuration of an inject-style campaign as ordered
+/// manifest pairs. Execution knobs that must not change results (`--jobs`,
+/// `--progress`, output paths) are deliberately excluded so the manifest's
+/// gated section stays identical across them.
+fn inject_config(a: &CliArgs) -> Vec<(String, String)> {
+    [
+        ("seed", a.seed.to_string()),
+        ("faults", a.faults.to_string()),
+        ("workloads", names(&a.workloads)),
+        ("threads", a.threads.to_string()),
+        ("scale", a.scale.to_string()),
+        ("checkpoints", a.checkpoints.to_string()),
+        ("latency", a.latency.to_string()),
+        ("kinds", kinds_str(a.kinds)),
+        (
+            "storm",
+            (flag("--storm").show)(a).unwrap_or_else(|| "off".to_owned()),
+        ),
+        ("watchdog_budget", a.watchdog_budget.to_string()),
+        ("policy", a.policy().to_string()),
+        ("scheme", scheme_str(a.scheme).to_string()),
+        ("recovery_faults", a.recovery_faults.to_string()),
+        ("generations", a.generations.to_string()),
+        ("sample_interval", a.sample_interval.to_string()),
+    ]
+    .into_iter()
+    .map(|(k, v)| (k.to_string(), v))
+    .collect()
 }
 
 /// The exact command line that reproduces an inject campaign (and with it
 /// every postmortem bundle it writes) — stamped into each bundle so a
 /// triage report is self-describing. Execution knobs that cannot change
 /// results (`--jobs`, `--progress`, output paths) are omitted.
-fn repro_line(a: &InjectArgs) -> String {
-    let workloads: Vec<&str> = a.workloads.iter().map(|b| b.name()).collect();
-    let mut out = format!(
-        "acr_cli inject --seed {} --faults {} --workloads {} --threads {} \
-         --scale {} --checkpoints {} --latency {} --kinds {} --policy {} --scheme {}",
-        a.seed,
-        a.faults,
-        workloads.join(","),
-        a.threads,
-        a.scale,
-        a.checkpoints,
-        a.latency,
-        kinds_str(a.kinds),
-        if a.amnesic { "acr" } else { "baseline" },
-        scheme_str(a.scheme),
-    );
-    if let Some(s) = a.storm {
-        let _ = write!(out, " --storm {},{}", s.mean_gap, s.max_burst);
-    }
-    if a.watchdog_budget != 0 {
-        let _ = write!(out, " --watchdog-budget {}", a.watchdog_budget);
-    }
-    if a.recovery_faults {
-        out.push_str(" --recovery-faults");
-    }
-    if a.generations != 1 {
-        let _ = write!(out, " --generations {}", a.generations);
-    }
-    if a.sample_interval != 0 {
-        let _ = write!(out, " --sample-interval {}", a.sample_interval);
-    }
-    out
+fn repro_line(a: &CliArgs) -> String {
+    command_line(
+        "inject",
+        a,
+        &[
+            "--seed",
+            "--faults",
+            "--workloads",
+            "--threads",
+            "--scale",
+            "--checkpoints",
+            "--latency",
+            "--kinds",
+            "--policy",
+            "--scheme",
+        ],
+        &[
+            "--storm",
+            "--watchdog-budget",
+            "--recovery-faults",
+            "--generations",
+            "--sample-interval",
+        ],
+    )
 }
 
 /// The unit column of the metrics pretty-printer, inferred from the key's
@@ -581,7 +862,7 @@ fn metrics_table(pairs: &[(String, u64)]) -> String {
 /// Builds the per-workload sweep items of an inject-style campaign:
 /// `--faults` split evenly across the workloads (remainder to the first
 /// ones), per-workload seed = `--seed + index`.
-fn campaign_items(a: &InjectArgs) -> Vec<CampaignSweepItem> {
+fn campaign_items(a: &CliArgs) -> Vec<CampaignSweepItem> {
     let n = a.workloads.len() as u32;
     let base_count = a.faults / n;
     let remainder = a.faults % n;
@@ -595,26 +876,11 @@ fn campaign_items(a: &InjectArgs) -> Vec<CampaignSweepItem> {
             }
             Some(CampaignSweepItem {
                 name: bench.name().to_owned(),
-                program: generate(
-                    bench,
-                    &WorkloadConfig::default()
-                        .with_threads(a.threads)
-                        .with_scale(a.scale),
-                ),
+                program: a.program(bench),
                 campaign: CampaignConfig {
                     seed: a.seed.wrapping_add(i as u64),
                     count,
-                    kinds: a.kinds,
-                    storm: a.storm,
-                    num_checkpoints: a.checkpoints,
-                    detection_latency_frac: a.latency,
-                    scheme: a.scheme,
-                    sample_interval: a.sample_interval,
-                    recovery_faults: a.recovery_faults,
-                    generations: a.generations,
-                    watchdog_budget_cycles: a.watchdog_budget,
-                    progress: a.progress,
-                    ..CampaignConfig::default()
+                    ..a.campaign()
                 },
                 amnesic: a.amnesic,
             })
@@ -686,8 +952,8 @@ fn write_manifest(path: &str, m: &Manifest) -> Result<(), String> {
     std::fs::write(path, m.to_json()).map_err(|e| format!("{path}: {e}"))
 }
 
-fn inject(args: &[String]) -> Result<ExitCode, String> {
-    let a = parse_inject(args)?;
+fn inject(a: CliArgs) -> Result<ExitCode, String> {
+    let a = a.with_sampling_default();
     if let Some(dir) = &a.csv_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("--csv {dir}: {e}"))?;
     }
@@ -718,12 +984,7 @@ fn inject(args: &[String]) -> Result<ExitCode, String> {
     let items = campaign_items(&a);
 
     let (outcomes, loads) = host.time("sweep", || {
-        run_campaign_sweep(&items, a.jobs, |item| {
-            let bench = Benchmark::from_name(&item.name).expect("items are built from benchmarks");
-            ExperimentSpec::default()
-                .with_cores(a.threads)
-                .with_threshold(bench.default_threshold())
-        })
+        run_campaign_sweep(&items, a.jobs, |item| a.spec(item_bench(&item.name)))
     });
     let mut digest = SweepDigest::new(loads);
 
@@ -855,199 +1116,40 @@ fn inject(args: &[String]) -> Result<ExitCode, String> {
     })
 }
 
-struct SoakArgs {
-    workloads: Vec<Benchmark>,
-    cases: u64,
-    budget_secs: u64,
-    chunk: u32,
-    seed: u64,
-    threads: u32,
-    scale: f64,
-    checkpoints: u32,
-    latency: f64,
-    amnesic: bool,
-    models: Vec<SoakModel>,
-    resilience: Vec<SoakResilience>,
-    jobs: usize,
-    cursor: Option<String>,
-    postmortem_dir: Option<String>,
-    print_metrics: bool,
-}
-
-impl Default for SoakArgs {
-    fn default() -> Self {
-        SoakArgs {
-            workloads: vec![Benchmark::Is, Benchmark::Cg],
-            cases: 500,
-            budget_secs: 0,
-            chunk: 25,
-            seed: 42,
-            threads: 2,
-            scale: 0.05,
-            checkpoints: 8,
-            latency: 0.5,
-            amnesic: true,
-            models: default_models(),
-            resilience: default_resilience(),
-            jobs: 0,
-            cursor: None,
-            postmortem_dir: None,
-            print_metrics: false,
-        }
-    }
-}
-
-/// Selects presets by label from `all`, preserving the canonical order
-/// (the grid fingerprint depends on it, so a reordered `--models` list
-/// still resumes the same soak).
-fn pick_presets<T: Clone>(
-    value: &str,
-    flag: &str,
-    all: &[T],
-    label: impl Fn(&T) -> String,
-) -> Result<Vec<T>, String> {
-    let wanted: Vec<&str> = value.split(',').map(str::trim).collect();
-    for w in &wanted {
-        if !all.iter().any(|p| label(p) == *w) {
-            let known: Vec<String> = all.iter().map(&label).collect();
-            return Err(format!(
-                "{flag}: unknown preset `{w}` (known: {})",
-                known.join(",")
-            ));
-        }
-    }
-    let picked: Vec<T> = all
-        .iter()
-        .filter(|p| wanted.contains(&label(p).as_str()))
-        .cloned()
-        .collect();
-    if picked.is_empty() {
-        return Err(format!("{flag} must name at least one preset"));
-    }
-    Ok(picked)
-}
-
-fn parse_soak(args: &[String]) -> Result<SoakArgs, String> {
-    let mut out = SoakArgs::default();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        if flag == "--print-metrics" {
-            out.print_metrics = true;
-            i += 1;
-            continue;
-        }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| format!("{flag} needs a value"))?;
-        match flag {
-            "--workloads" => out.workloads = parse_workloads(value)?,
-            "--cases" => {
-                out.cases = value.parse().map_err(|e| format!("--cases: {e}"))?;
-                if out.cases == 0 {
-                    return Err("--cases must be positive".into());
-                }
-            }
-            "--budget-secs" => {
-                out.budget_secs = value.parse().map_err(|e| format!("--budget-secs: {e}"))?;
-            }
-            "--chunk" => {
-                out.chunk = value.parse().map_err(|e| format!("--chunk: {e}"))?;
-                if out.chunk == 0 {
-                    return Err("--chunk must be positive".into());
-                }
-            }
-            "--seed" => out.seed = value.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--threads" => {
-                out.threads = value.parse().map_err(|e| format!("--threads: {e}"))?;
-                if out.threads == 0 {
-                    return Err("--threads must be positive".into());
-                }
-            }
-            "--scale" => out.scale = value.parse().map_err(|e| format!("--scale: {e}"))?,
-            "--checkpoints" => {
-                out.checkpoints = value.parse().map_err(|e| format!("--checkpoints: {e}"))?;
-            }
-            "--latency" => {
-                out.latency = value.parse().map_err(|e| format!("--latency: {e}"))?;
-                if !(0.0..=1.0).contains(&out.latency) {
-                    return Err("--latency must be within [0, 1]".into());
-                }
-            }
-            "--policy" => {
-                out.amnesic = match value.as_str() {
-                    "acr" => true,
-                    "baseline" => false,
-                    other => return Err(format!("unknown policy `{other}`")),
-                };
-            }
-            "--models" => {
-                out.models =
-                    pick_presets(value, "--models", &default_models(), |m| m.label.clone())?;
-            }
-            "--resilience" => {
-                out.resilience = pick_presets(value, "--resilience", &default_resilience(), |r| {
-                    r.label.clone()
-                })?;
-            }
-            "--jobs" => out.jobs = value.parse().map_err(|e| format!("--jobs: {e}"))?,
-            "--cursor" => out.cursor = Some(value.clone()),
-            "--postmortem-dir" => out.postmortem_dir = Some(value.clone()),
-            other => return Err(format!("unknown option `{other}`")),
-        }
-        i += 2;
-    }
-    Ok(out)
-}
-
 /// The exact command line that reproduces a soak stream (stamped into
 /// every postmortem the soak writes). Execution knobs that cannot change
 /// chunk results (`--jobs`, budgets, output paths) are omitted — the
 /// stream is fully determined by seed, chunk size and the grid.
-fn soak_repro_line(a: &SoakArgs) -> String {
-    let workloads: Vec<&str> = a.workloads.iter().map(|b| b.name()).collect();
-    let models: Vec<&str> = a.models.iter().map(|m| m.label.as_str()).collect();
-    let presets: Vec<&str> = a.resilience.iter().map(|r| r.label.as_str()).collect();
-    format!(
-        "acr_cli soak --workloads {} --seed {} --chunk {} --threads {} --scale {} \
-         --checkpoints {} --latency {} --policy {} --models {} --resilience {}",
-        workloads.join(","),
-        a.seed,
-        a.chunk,
-        a.threads,
-        a.scale,
-        a.checkpoints,
-        a.latency,
-        if a.amnesic { "acr" } else { "baseline" },
-        models.join(","),
-        presets.join(","),
+fn soak_repro_line(a: &CliArgs) -> String {
+    command_line(
+        "soak",
+        a,
+        &[
+            "--workloads",
+            "--seed",
+            "--chunk",
+            "--threads",
+            "--scale",
+            "--checkpoints",
+            "--latency",
+            "--policy",
+            "--models",
+            "--resilience",
+        ],
+        &[],
     )
 }
 
 /// One cached `Experiment` per soak workload (instrumentation is paid
 /// once, not once per chunk).
-fn soak_experiments(a: &SoakArgs) -> Result<Vec<(String, Experiment)>, String> {
+fn soak_experiments(a: &CliArgs) -> Result<Vec<(String, Experiment)>, String> {
     a.workloads
         .iter()
-        .map(|&bench| {
-            let program = generate(
-                bench,
-                &WorkloadConfig::default()
-                    .with_threads(a.threads)
-                    .with_scale(a.scale),
-            );
-            let spec = ExperimentSpec::default()
-                .with_cores(a.threads)
-                .with_threshold(bench.default_threshold());
-            Experiment::new(program, spec)
-                .map(|e| (bench.name().to_string(), e))
-                .map_err(|e| format!("{}: {e}", bench.name()))
-        })
+        .map(|&bench| Ok((bench.name().to_string(), a.experiment(bench)?)))
         .collect()
 }
 
-fn soak(args: &[String]) -> Result<ExitCode, String> {
-    let a = parse_soak(args)?;
+fn soak(a: CliArgs) -> Result<ExitCode, String> {
     if let Some(dir) = &a.postmortem_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("--postmortem-dir {dir}: {e}"))?;
     }
@@ -1162,175 +1264,21 @@ fn soak(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-struct ShrinkArgs {
-    workload: Benchmark,
-    seed: u64,
-    faults: u32,
-    kinds: FaultKindSet,
-    storm: Option<FaultStorm>,
-    threads: u32,
-    scale: f64,
-    checkpoints: u32,
-    latency: f64,
-    amnesic: bool,
-    recovery_faults: bool,
-    generations: u32,
-    watchdog_budget: u64,
-    case: usize,
-    jobs: usize,
-    max_evals: u64,
-    out: Option<String>,
-    replay: Option<String>,
-}
-
-impl Default for ShrinkArgs {
-    fn default() -> Self {
-        ShrinkArgs {
-            workload: Benchmark::Cg,
-            seed: 42,
-            faults: 10,
-            kinds: FaultKindSet {
-                reg: false,
-                pc: false,
-                mem: true,
-                burst: false,
-                stuck: false,
-                crash: false,
-            },
-            storm: None,
-            threads: 2,
-            scale: 0.05,
-            checkpoints: 4,
-            latency: 0.5,
-            amnesic: true,
-            recovery_faults: false,
-            generations: 1,
-            watchdog_budget: 0,
-            case: 0,
-            jobs: 0,
-            max_evals: 2048,
-            out: None,
-            replay: None,
-        }
-    }
-}
-
-fn parse_shrink(args: &[String]) -> Result<ShrinkArgs, String> {
-    let mut out = ShrinkArgs::default();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        if flag == "--recovery-faults" {
-            out.recovery_faults = true;
-            i += 1;
-            continue;
-        }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| format!("{flag} needs a value"))?;
-        match flag {
-            "--workload" => {
-                out.workload = Benchmark::from_name(value.trim())
-                    .ok_or_else(|| format!("unknown workload `{value}`"))?;
-            }
-            "--seed" => out.seed = value.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--faults" => {
-                out.faults = value.parse().map_err(|e| format!("--faults: {e}"))?;
-                if out.faults == 0 {
-                    return Err("--faults must be positive".into());
-                }
-            }
-            "--kinds" => out.kinds = FaultKindSet::parse(value)?,
-            "--storm" => {
-                out.storm = Some(FaultStorm::parse(value).map_err(|e| format!("--storm: {e}"))?)
-            }
-            "--threads" => {
-                out.threads = value.parse().map_err(|e| format!("--threads: {e}"))?;
-                if out.threads == 0 {
-                    return Err("--threads must be positive".into());
-                }
-            }
-            "--scale" => out.scale = value.parse().map_err(|e| format!("--scale: {e}"))?,
-            "--checkpoints" => {
-                out.checkpoints = value.parse().map_err(|e| format!("--checkpoints: {e}"))?;
-            }
-            "--latency" => {
-                out.latency = value.parse().map_err(|e| format!("--latency: {e}"))?;
-                if !(0.0..=1.0).contains(&out.latency) {
-                    return Err("--latency must be within [0, 1]".into());
-                }
-            }
-            "--policy" => {
-                out.amnesic = match value.as_str() {
-                    "acr" => true,
-                    "baseline" => false,
-                    other => return Err(format!("unknown policy `{other}`")),
-                };
-            }
-            "--generations" => {
-                out.generations = value.parse().map_err(|e| format!("--generations: {e}"))?;
-                if out.generations == 0 {
-                    return Err("--generations must be positive".into());
-                }
-            }
-            "--watchdog-budget" => {
-                out.watchdog_budget = value
-                    .parse()
-                    .map_err(|e| format!("--watchdog-budget: {e}"))?;
-            }
-            "--case" => out.case = value.parse().map_err(|e| format!("--case: {e}"))?,
-            "--jobs" => out.jobs = value.parse().map_err(|e| format!("--jobs: {e}"))?,
-            "--max-evals" => {
-                out.max_evals = value.parse().map_err(|e| format!("--max-evals: {e}"))?;
-                if out.max_evals == 0 {
-                    return Err("--max-evals must be positive".into());
-                }
-            }
-            "--out" => out.out = Some(value.clone()),
-            "--replay" => out.replay = Some(value.clone()),
-            other => return Err(format!("unknown option `{other}`")),
-        }
-        i += 2;
-    }
-    Ok(out)
-}
-
-/// One `Experiment` over one workload, as the shrink paths build it.
-fn shrink_experiment(bench: Benchmark, threads: u32, scale: f64) -> Result<Experiment, String> {
-    let program = generate(
-        bench,
-        &WorkloadConfig::default()
-            .with_threads(threads)
-            .with_scale(scale),
-    );
-    Experiment::new(
-        program,
-        ExperimentSpec::default()
-            .with_cores(threads)
-            .with_threshold(bench.default_threshold()),
-    )
-    .map_err(|e| format!("{}: {e}", bench.name()))
-}
-
 /// The `acr.repro.v1` document: everything `--replay` needs to rebuild
 /// the exact engine configuration, plus the minimal fault plan. Fractions
 /// are serialized as strings (the JSON layer is `f64`-backed and the
 /// round-trip must be exact); big `u64`s as hex strings.
-fn repro_doc(a: &ShrinkArgs, out: &acr_ckpt::ShrinkOutcome) -> String {
+fn repro_doc(a: &CliArgs, workload: Benchmark, out: &acr_ckpt::ShrinkOutcome) -> String {
     let mut o = String::from("{\n  \"schema\": ");
     acr_trace::push_json_string(&mut o, REPRO_SCHEMA);
-    let _ = write!(o, ",\n  \"workload\": \"{}\"", a.workload.name());
+    let _ = write!(o, ",\n  \"workload\": \"{}\"", workload.name());
     let _ = write!(o, ",\n  \"case\": {}", a.case);
     let _ = write!(o, ",\n  \"seed\": \"{:#x}\"", a.seed);
     let _ = write!(o, ",\n  \"threads\": {}", a.threads);
     let _ = write!(o, ",\n  \"scale\": \"{}\"", a.scale);
     let _ = write!(o, ",\n  \"checkpoints\": {}", a.checkpoints);
     let _ = write!(o, ",\n  \"latency\": \"{}\"", a.latency);
-    let _ = write!(
-        o,
-        ",\n  \"policy\": \"{}\"",
-        if a.amnesic { "acr" } else { "baseline" }
-    );
+    let _ = write!(o, ",\n  \"policy\": \"{}\"", a.policy());
     let _ = write!(o, ",\n  \"recovery_faults\": {}", a.recovery_faults);
     let _ = write!(o, ",\n  \"generations\": {}", a.generations);
     let _ = write!(o, ",\n  \"watchdog_budget\": {}", a.watchdog_budget);
@@ -1379,11 +1327,11 @@ fn shrink_replay(path: &str) -> Result<ExitCode, String> {
     // `jnum` reads absent fields as 0, so a truncated document would
     // otherwise ask for a zero-thread experiment (rejected far less
     // legibly downstream).
-    let threads = jnum(&j, "threads") as u32;
-    if threads == 0 {
+    let threads = jnum(&j, "threads");
+    if !(1..=u64::from(MAX_CORES)).contains(&threads) {
         return Err(format!(
-            "{path}: field `threads` missing or zero (a repro document \
-             describes at least one thread)"
+            "{path}: field `threads` missing or outside 1..={MAX_CORES} (a \
+             repro document describes one thread per core)"
         ));
     }
     let case = jnum(&j, "case") as usize;
@@ -1399,7 +1347,12 @@ fn shrink_replay(path: &str) -> Result<ExitCode, String> {
         ..CampaignConfig::default()
     };
     let amnesic = jstr(&j, "policy") == "acr";
-    let mut exp = shrink_experiment(workload, threads, frac("scale")?)?;
+    let recorded = CliArgs {
+        threads: threads as u32,
+        scale: scale(jstr(&j, "scale")).map_err(|e| format!("{path}: field `scale`: {e}"))?,
+        ..CliArgs::default()
+    };
+    let mut exp = recorded.experiment(workload)?;
     println!(
         "== replay: {} case {:04}, {} fault(s) ==",
         workload.name(),
@@ -1426,31 +1379,19 @@ fn shrink_replay(path: &str) -> Result<ExitCode, String> {
     }
 }
 
-fn shrink(args: &[String]) -> Result<ExitCode, String> {
-    let a = parse_shrink(args)?;
+fn shrink(a: CliArgs) -> Result<ExitCode, String> {
     if let Some(path) = &a.replay {
         return shrink_replay(path);
     }
-    let cfg = CampaignConfig {
-        seed: a.seed,
-        count: a.faults,
-        kinds: a.kinds,
-        storm: a.storm,
-        num_checkpoints: a.checkpoints,
-        detection_latency_frac: a.latency,
-        recovery_faults: a.recovery_faults,
-        generations: a.generations,
-        watchdog_budget_cycles: a.watchdog_budget,
-        jobs: 1,
-        ..CampaignConfig::default()
-    };
-    let mut exp = shrink_experiment(a.workload, a.threads, a.scale)?;
+    let workload = a.workload()?;
+    let cfg = a.campaign();
+    let mut exp = a.experiment(workload)?;
     let faults = exp
         .plan_dense_faults(&cfg, a.amnesic)
         .map_err(|e| e.to_string())?;
     println!(
         "== shrink: {} case {:04}, {} planned fault(s) ==",
-        a.workload.name(),
+        workload.name(),
         a.case,
         faults.len()
     );
@@ -1485,149 +1426,26 @@ fn shrink(args: &[String]) -> Result<ExitCode, String> {
     let out_path = a
         .out
         .clone()
-        .unwrap_or_else(|| format!("repro.{}.case{:04}.json", a.workload.name(), a.case));
-    std::fs::write(&out_path, repro_doc(&a, &out)).map_err(|e| format!("{out_path}: {e}"))?;
+        .unwrap_or_else(|| format!("repro.{}.case{:04}.json", workload.name(), a.case));
+    std::fs::write(&out_path, repro_doc(&a, workload, &out))
+        .map_err(|e| format!("{out_path}: {e}"))?;
     println!("  repro -> {out_path}");
     println!("  replay: acr_cli shrink --replay {out_path}");
     Ok(ExitCode::SUCCESS)
 }
 
-struct TraceArgs {
-    workloads: Vec<Benchmark>,
-    out: String,
-    metrics_out: Option<String>,
-    sample_interval: u64,
-    seed: u64,
-    faults: u32,
-    threads: u32,
-    scale: f64,
-    checkpoints: u32,
-    scheme: Scheme,
-    detail: bool,
-    jobs: usize,
-    manifest_out: Option<String>,
-    print_metrics: bool,
-}
-
-impl Default for TraceArgs {
-    fn default() -> Self {
-        TraceArgs {
-            workloads: vec![Benchmark::Cg],
-            out: "run.trace.json".to_owned(),
-            metrics_out: None,
-            sample_interval: 5000,
-            seed: 42,
-            faults: 1,
-            threads: 2,
-            scale: 0.05,
-            checkpoints: 12,
-            scheme: Scheme::GlobalCoordinated,
-            detail: false,
-            jobs: 0,
-            manifest_out: None,
-            print_metrics: false,
-        }
-    }
-}
-
-/// Parses a comma-separated, non-empty workload list.
-fn parse_workloads(value: &str) -> Result<Vec<Benchmark>, String> {
-    let list: Vec<Benchmark> = value
-        .split(',')
-        .map(|n| Benchmark::from_name(n.trim()).ok_or_else(|| format!("unknown workload `{n}`")))
-        .collect::<Result<_, _>>()?;
-    if list.is_empty() {
-        return Err("--workload must name at least one workload".into());
-    }
-    Ok(list)
-}
-
-fn parse_trace(args: &[String]) -> Result<TraceArgs, String> {
-    let mut out = TraceArgs::default();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        if flag == "--print-metrics" {
-            out.print_metrics = true;
-            i += 1;
-            continue;
-        }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| format!("{flag} needs a value"))?;
-        match flag {
-            "--workload" => out.workloads = parse_workloads(value)?,
-            "--out" => out.out = value.clone(),
-            "--metrics-out" => out.metrics_out = Some(value.clone()),
-            "--sample-interval" => {
-                out.sample_interval = value
-                    .parse()
-                    .map_err(|e| format!("--sample-interval: {e}"))?;
-                if out.sample_interval == 0 {
-                    return Err("--sample-interval must be positive".into());
-                }
-            }
-            "--seed" => out.seed = value.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--faults" => {
-                out.faults = value.parse().map_err(|e| format!("--faults: {e}"))?;
-                if out.faults == 0 {
-                    return Err("--faults must be positive".into());
-                }
-            }
-            "--threads" => {
-                out.threads = value.parse().map_err(|e| format!("--threads: {e}"))?;
-                if out.threads == 0 {
-                    return Err("--threads must be positive".into());
-                }
-            }
-            "--scale" => out.scale = value.parse().map_err(|e| format!("--scale: {e}"))?,
-            "--checkpoints" => {
-                out.checkpoints = value.parse().map_err(|e| format!("--checkpoints: {e}"))?;
-            }
-            "--scheme" => {
-                out.scheme = match value.as_str() {
-                    "global" => Scheme::GlobalCoordinated,
-                    "local" => Scheme::LocalCoordinated,
-                    other => return Err(format!("unknown scheme `{other}`")),
-                };
-            }
-            "--detail" => {
-                out.detail = match value.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("--detail takes on|off, got `{other}`")),
-                };
-            }
-            "--jobs" => out.jobs = value.parse().map_err(|e| format!("--jobs: {e}"))?,
-            "--manifest-out" => out.manifest_out = Some(value.clone()),
-            other => return Err(format!("unknown option `{other}`")),
-        }
-        i += 2;
-    }
-    Ok(out)
-}
-
 /// The sim-relevant configuration of a trace/profile run as ordered
 /// manifest pairs (`--jobs` and output paths excluded; see
 /// [`inject_config`]).
-fn faulted_config(
-    workloads: &[Benchmark],
-    seed: u64,
-    faults: u32,
-    threads: u32,
-    scale: f64,
-    checkpoints: u32,
-    scheme: Scheme,
-) -> Vec<(String, String)> {
-    let names: Vec<&str> = workloads.iter().map(|b| b.name()).collect();
+fn faulted_config(a: &CliArgs) -> Vec<(String, String)> {
     [
-        ("seed", seed.to_string()),
-        ("faults", faults.to_string()),
-        ("workloads", names.join(",")),
-        ("threads", threads.to_string()),
-        ("scale", scale.to_string()),
-        ("checkpoints", checkpoints.to_string()),
-        ("scheme", scheme_str(scheme).to_string()),
+        ("seed", a.seed.to_string()),
+        ("faults", a.faults.to_string()),
+        ("workloads", names(&a.workloads)),
+        ("threads", a.threads.to_string()),
+        ("scale", a.scale.to_string()),
+        ("checkpoints", a.checkpoints.to_string()),
+        ("scheme", scheme_str(a.scheme).to_string()),
     ]
     .into_iter()
     .map(|(k, v)| (k.to_string(), v))
@@ -1664,8 +1482,11 @@ fn planned_faults(seed: u64, count: u32, total: u64, threads: u32) -> Vec<Fault>
         .collect()
 }
 
-fn trace(args: &[String]) -> Result<ExitCode, String> {
-    let a = parse_trace(args)?;
+fn trace(a: CliArgs) -> Result<ExitCode, String> {
+    if a.sample_interval == 0 {
+        return Err("--sample-interval must be positive".into());
+    }
+    let out = a.out.as_deref().expect("trace defaults --out");
     let multi = a.workloads.len() > 1;
     let mut host = HostPerf::start();
     let mut sim_hashes: Vec<(String, u64)> = Vec::new();
@@ -1677,12 +1498,7 @@ fn trace(args: &[String]) -> Result<ExitCode, String> {
         .iter()
         .map(|&bench| FaultedSweepItem {
             name: bench.name().to_owned(),
-            program: generate(
-                bench,
-                &WorkloadConfig::default()
-                    .with_threads(a.threads)
-                    .with_scale(a.scale),
-            ),
+            program: a.program(bench),
         })
         .collect();
     let outcomes = host.time("sweep", || {
@@ -1691,12 +1507,8 @@ fn trace(args: &[String]) -> Result<ExitCode, String> {
             a.jobs,
             Some(a.detail),
             |item| {
-                let bench =
-                    Benchmark::from_name(&item.name).expect("items are built from benchmarks");
-                ExperimentSpec::default()
-                    .with_cores(a.threads)
+                a.spec(item_bench(&item.name))
                     .with_checkpoints(a.checkpoints)
-                    .with_threshold(bench.default_threshold())
                     .with_scheme(a.scheme)
                     .with_sample_interval(a.sample_interval)
             },
@@ -1714,9 +1526,9 @@ fn trace(args: &[String]) -> Result<ExitCode, String> {
         retired += result.sim.retired;
 
         let out_path = if multi {
-            suffixed(&a.out, &name)
+            suffixed(out, &name)
         } else {
-            a.out.clone()
+            out.to_owned()
         };
         let json = chrome_trace_json(&run.events, Some(&report.series));
         std::fs::write(&out_path, &json).map_err(|e| format!("{out_path}: {e}"))?;
@@ -1774,15 +1586,7 @@ fn trace(args: &[String]) -> Result<ExitCode, String> {
             ParallelRunner::new(a.jobs).jobs() as u64,
             &[],
         );
-        let mut config = faulted_config(
-            &a.workloads,
-            a.seed,
-            a.faults,
-            a.threads,
-            a.scale,
-            a.checkpoints,
-            a.scheme,
-        );
+        let mut config = faulted_config(&a);
         config.push(("sample_interval".to_owned(), a.sample_interval.to_string()));
         config.push(("detail".to_owned(), a.detail.to_string()));
         let m = Manifest {
@@ -1797,89 +1601,6 @@ fn trace(args: &[String]) -> Result<ExitCode, String> {
         println!("manifest -> {path}");
     }
     Ok(ExitCode::SUCCESS)
-}
-
-struct ProfileArgs {
-    workloads: Vec<Benchmark>,
-    seed: u64,
-    faults: u32,
-    threads: u32,
-    scale: f64,
-    checkpoints: u32,
-    scheme: Scheme,
-    flame_out: String,
-    ledger_out: String,
-    trace_out: Option<String>,
-    top: usize,
-    jobs: usize,
-    manifest_out: Option<String>,
-}
-
-impl Default for ProfileArgs {
-    fn default() -> Self {
-        ProfileArgs {
-            workloads: vec![Benchmark::Cg],
-            seed: 42,
-            faults: 1,
-            threads: 2,
-            scale: 0.05,
-            checkpoints: 12,
-            scheme: Scheme::GlobalCoordinated,
-            flame_out: "run.folded".to_owned(),
-            ledger_out: "run.ledger.txt".to_owned(),
-            trace_out: None,
-            top: 10,
-            jobs: 0,
-            manifest_out: None,
-        }
-    }
-}
-
-fn parse_profile(args: &[String]) -> Result<ProfileArgs, String> {
-    let mut out = ProfileArgs::default();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| format!("{flag} needs a value"))?;
-        match flag {
-            "--workload" => out.workloads = parse_workloads(value)?,
-            "--seed" => out.seed = value.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--faults" => {
-                out.faults = value.parse().map_err(|e| format!("--faults: {e}"))?;
-                if out.faults == 0 {
-                    return Err("--faults must be positive".into());
-                }
-            }
-            "--threads" => {
-                out.threads = value.parse().map_err(|e| format!("--threads: {e}"))?;
-                if out.threads == 0 {
-                    return Err("--threads must be positive".into());
-                }
-            }
-            "--scale" => out.scale = value.parse().map_err(|e| format!("--scale: {e}"))?,
-            "--checkpoints" => {
-                out.checkpoints = value.parse().map_err(|e| format!("--checkpoints: {e}"))?;
-            }
-            "--scheme" => {
-                out.scheme = match value.as_str() {
-                    "global" => Scheme::GlobalCoordinated,
-                    "local" => Scheme::LocalCoordinated,
-                    other => return Err(format!("unknown scheme `{other}`")),
-                };
-            }
-            "--flame-out" => out.flame_out = value.clone(),
-            "--ledger-out" => out.ledger_out = value.clone(),
-            "--trace-out" => out.trace_out = Some(value.clone()),
-            "--top" => out.top = value.parse().map_err(|e| format!("--top: {e}"))?,
-            "--jobs" => out.jobs = value.parse().map_err(|e| format!("--jobs: {e}"))?,
-            "--manifest-out" => out.manifest_out = Some(value.clone()),
-            other => return Err(format!("unknown option `{other}`")),
-        }
-        i += 2;
-    }
-    Ok(out)
 }
 
 /// Sanitizes a region label for the collapsed-stack format (frames are
@@ -1967,20 +1688,14 @@ fn ledger_report(
     out
 }
 
-fn profile(args: &[String]) -> Result<ExitCode, String> {
-    let a = parse_profile(args)?;
+fn profile(a: CliArgs) -> Result<ExitCode, String> {
     let multi = a.workloads.len() > 1;
     let items: Vec<FaultedSweepItem> = a
         .workloads
         .iter()
         .map(|&bench| FaultedSweepItem {
             name: bench.name().to_owned(),
-            program: generate(
-                bench,
-                &WorkloadConfig::default()
-                    .with_threads(a.threads)
-                    .with_scale(a.scale),
-            ),
+            program: a.program(bench),
         })
         .collect();
     let tracing = a.trace_out.is_some();
@@ -1995,12 +1710,9 @@ fn profile(args: &[String]) -> Result<ExitCode, String> {
             a.jobs,
             tracing.then_some(false),
             |item| {
-                let bench =
-                    Benchmark::from_name(&item.name).expect("items are built from benchmarks");
-                let spec = ExperimentSpec::default()
-                    .with_cores(a.threads)
+                let spec = a
+                    .spec(item_bench(&item.name))
                     .with_checkpoints(a.checkpoints)
-                    .with_threshold(bench.default_threshold())
                     .with_scheme(a.scheme)
                     .with_profile(true);
                 if tracing {
@@ -2135,15 +1847,7 @@ fn profile(args: &[String]) -> Result<ExitCode, String> {
         );
         let m = Manifest {
             command: "profile".to_owned(),
-            config: faulted_config(
-                &a.workloads,
-                a.seed,
-                a.faults,
-                a.threads,
-                a.scale,
-                a.checkpoints,
-                a.scheme,
-            ),
+            config: faulted_config(&a),
             sim_hashes,
             metrics_digest: metrics_digest.finish(),
             host: host.finish(),
@@ -2155,79 +1859,10 @@ fn profile(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-struct BenchArgs {
-    /// The campaign to time — every inject option applies, with
-    /// `--faults` defaulting to 200 (the reference campaign whose
-    /// hashes the golden tests pin) instead of 1000, and `--jobs` to 1
-    /// instead of auto.
-    inject: InjectArgs,
-    name: String,
-    reps: u32,
-    warmup: u32,
-    out: Option<String>,
-}
-
-fn parse_bench(args: &[String]) -> Result<BenchArgs, String> {
-    let mut name = "ref".to_owned();
-    let mut reps = 5u32;
-    let mut warmup = 1u32;
-    let mut out = None;
-    let mut rest: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        match flag {
-            "--name" | "--reps" | "--warmup" | "--out" => {
-                let value = args
-                    .get(i + 1)
-                    .ok_or_else(|| format!("{flag} needs a value"))?;
-                match flag {
-                    "--name" => name = value.clone(),
-                    "--reps" => {
-                        reps = value.parse().map_err(|e| format!("--reps: {e}"))?;
-                        if reps == 0 {
-                            return Err("--reps must be positive".into());
-                        }
-                    }
-                    "--warmup" => warmup = value.parse().map_err(|e| format!("--warmup: {e}"))?,
-                    _ => out = Some(value.clone()),
-                }
-                i += 2;
-            }
-            _ => {
-                rest.push(args[i].clone());
-                i += 1;
-            }
-        }
-    }
-    let had_faults = rest.iter().any(|s| s == "--faults");
-    let had_jobs = rest.iter().any(|s| s == "--jobs");
-    let mut inject = parse_inject(&rest)?;
-    if !had_faults {
-        inject.faults = 200;
-    }
-    if !had_jobs {
-        inject.jobs = 1;
-    }
-    Ok(BenchArgs {
-        inject,
-        name,
-        reps,
-        warmup,
-        out,
-    })
-}
-
-fn bench(args: &[String]) -> Result<ExitCode, String> {
-    let b = parse_bench(args)?;
-    let a = &b.inject;
-    let items = campaign_items(a);
-    let spec_for = |item: &CampaignSweepItem| {
-        let bench = Benchmark::from_name(&item.name).expect("items are built from benchmarks");
-        ExperimentSpec::default()
-            .with_cores(a.threads)
-            .with_threshold(bench.default_threshold())
-    };
+fn bench(a: CliArgs) -> Result<ExitCode, String> {
+    let a = a.with_sampling_default();
+    let items = campaign_items(&a);
+    let spec_for = |item: &CampaignSweepItem| a.spec(item_bench(&item.name));
     let run_items = |items: &[CampaignSweepItem]| -> Result<SweepDigest, String> {
         let (outcomes, loads) = run_campaign_sweep(items, a.jobs, spec_for);
         let mut digest = SweepDigest::new(loads);
@@ -2244,7 +1879,7 @@ fn bench(args: &[String]) -> Result<ExitCode, String> {
     let mut host = HostPerf::start();
     println!(
         "benchmark {}: faults {} workloads {} jobs {} — {} warmup + {} timed reps",
-        b.name,
+        a.name,
         a.faults,
         a.workloads
             .iter()
@@ -2252,17 +1887,17 @@ fn bench(args: &[String]) -> Result<ExitCode, String> {
             .collect::<Vec<_>>()
             .join(","),
         a.jobs,
-        b.warmup,
-        b.reps
+        a.warmup,
+        a.reps
     );
-    for _ in 0..b.warmup {
+    for _ in 0..a.warmup {
         host.time("warmup", run_once)?;
     }
 
-    let mut samples = Vec::with_capacity(b.reps as usize);
+    let mut samples = Vec::with_capacity(a.reps as usize);
     let mut loads: Vec<WorkerLoad> = Vec::new();
     let mut reference: Option<SweepDigest> = None;
-    for rep in 0..b.reps {
+    for rep in 0..a.reps {
         let sw = Stopwatch::start();
         let digest = run_once()?;
         let ns = sw.elapsed_ns();
@@ -2271,7 +1906,7 @@ fn bench(args: &[String]) -> Result<ExitCode, String> {
         println!(
             "  rep {}/{}: {:.3} s  combined {:#018x}",
             rep + 1,
-            b.reps,
+            a.reps,
             ns as f64 / 1e9,
             digest.combined()
         );
@@ -2289,7 +1924,7 @@ fn bench(args: &[String]) -> Result<ExitCode, String> {
         }
     }
     let reference = reference.expect("--reps is positive");
-    let stats = BenchStats::from_samples(&samples, u64::from(b.warmup));
+    let stats = BenchStats::from_samples(&samples, u64::from(a.warmup));
     println!(
         "  median {:.3} s  mad {:.3} s  min {:.3} s",
         stats.median_ns as f64 / 1e9,
@@ -2306,8 +1941,8 @@ fn bench(args: &[String]) -> Result<ExitCode, String> {
     for it in &mut off_items {
         it.campaign.recorder = false;
     }
-    let mut off_samples = Vec::with_capacity(b.reps as usize);
-    for _ in 0..b.reps {
+    let mut off_samples = Vec::with_capacity(a.reps as usize);
+    for _ in 0..a.reps {
         let sw = Stopwatch::start();
         let digest = run_items(&off_items)?;
         let ns = sw.elapsed_ns();
@@ -2342,13 +1977,16 @@ fn bench(args: &[String]) -> Result<ExitCode, String> {
     );
     let m = Manifest {
         command: "bench".to_owned(),
-        config: inject_config(a),
+        config: inject_config(&a),
         sim_hashes: reference.sim_hashes(),
         metrics_digest: reference.digest,
         host: host.finish(),
         bench: Some(stats),
     };
-    let out_path = b.out.unwrap_or_else(|| format!("BENCH_{}.json", b.name));
+    let out_path = a
+        .out
+        .clone()
+        .unwrap_or_else(|| format!("BENCH_{}.json", a.name));
     write_manifest(&out_path, &m)?;
     println!("manifest -> {out_path}");
     if let Some(path) = &a.manifest_out {
@@ -2358,47 +1996,7 @@ fn bench(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn diff(args: &[String]) -> Result<ExitCode, String> {
-    let mut opts = DiffOptions::default();
-    let mut paths: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        match flag {
-            "--tolerance-pct" => {
-                let value = args
-                    .get(i + 1)
-                    .ok_or_else(|| format!("{flag} needs a value"))?;
-                opts.tolerance_pct = value.parse().map_err(|e| format!("--tolerance-pct: {e}"))?;
-                if opts.tolerance_pct.is_nan() || opts.tolerance_pct < 0.0 {
-                    return Err("--tolerance-pct must be non-negative".into());
-                }
-                i += 2;
-            }
-            "--host-gate" => {
-                let value = args
-                    .get(i + 1)
-                    .ok_or_else(|| format!("{flag} needs a value"))?;
-                (opts.gate_host, opts.gate_tput) = match value.as_str() {
-                    "on" => (true, false),
-                    "off" => (false, false),
-                    // Perf-gate mode: wall time stays report-only (noisy
-                    // on shared runners), but a drop in simulated cycles
-                    // per host second beyond the tolerance fails.
-                    "tput" => (false, true),
-                    other => return Err(format!("--host-gate takes on|off|tput, got `{other}`")),
-                };
-                i += 2;
-            }
-            other if other.starts_with("--") => {
-                return Err(format!("unknown option `{other}`"));
-            }
-            _ => {
-                paths.push(args[i].clone());
-                i += 1;
-            }
-        }
-    }
+fn diff(a: CliArgs, paths: &[String]) -> Result<ExitCode, String> {
     if paths.len() != 2 {
         return Err(format!(
             "diff takes exactly two manifest paths, got {}",
@@ -2411,7 +2009,7 @@ fn diff(args: &[String]) -> Result<ExitCode, String> {
     };
     let baseline = read(&paths[0])?;
     let candidate = read(&paths[1])?;
-    let report = diff_manifests(&baseline, &candidate, &opts);
+    let report = diff_manifests(&baseline, &candidate, &a.diff);
     print!("{}", report.render());
     Ok(if report.failed() {
         ExitCode::from(1)
@@ -2475,10 +2073,9 @@ fn explain_timeline(rings: &[Json]) -> (Vec<String>, u64) {
 /// fault chain, machine digest, invariant tallies, escalation ladder, log
 /// tail, the merged flight-recorder timeline, and the probable-cause
 /// classification. Exits 0 whenever the bundle parses.
-fn explain(args: &[String]) -> Result<ExitCode, String> {
-    let path = match args {
-        [p] if !p.starts_with("--") => p.as_str(),
-        _ => return Err("explain takes exactly one postmortem bundle path".into()),
+fn explain(operands: &[String]) -> Result<ExitCode, String> {
+    let [path] = operands else {
+        return Err("explain takes exactly one postmortem bundle path".into());
     };
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let j = parse_json(&text).map_err(|e| format!("{path}: {e}"))?;
@@ -2630,38 +2227,239 @@ fn explain(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
+/// The benchmark a sweep item was built from.
+fn item_bench(name: &str) -> Benchmark {
+    Benchmark::from_name(name).expect("items are built from benchmarks")
+}
+
+fn workloads_list() -> Result<ExitCode, String> {
+    for b in Benchmark::ALL {
+        println!("{}", b.name());
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Prints one configuration's time, energy, checkpoint and recovery
+/// figures, with overheads against `base` when given.
+fn print_result(label: &str, r: &RunResult, base: Option<&RunResult>) {
+    println!("--- {label} ---");
+    println!("  cycles          {:>14}", r.cycles);
+    println!("  time            {:>14.6} ms", r.seconds * 1e3);
+    println!(
+        "  energy          {:>14.6} mJ",
+        r.energy.total_joules() * 1e3
+    );
+    println!("  EDP             {:>14.6e} J*s", r.edp);
+    if let Some(b) = base {
+        println!(
+            "  time overhead   {:>13.2}% vs {}",
+            r.time_overhead_pct(b),
+            b.label
+        );
+        println!(
+            "  energy overhead {:>13.2}% vs {}",
+            r.energy_overhead_pct(b),
+            b.label
+        );
+    }
+    if let Some(rep) = &r.report {
+        println!("  checkpoints     {:>14}", rep.checkpoints_taken);
+        println!("  ckpt bytes      {:>14}", rep.total_checkpoint_bytes());
+        if rep.total_baseline_bytes() > rep.total_checkpoint_bytes() {
+            println!(
+                "  size reduction  {:>13.2}% (max interval {:.2}%)",
+                rep.overall_reduction_pct(),
+                rep.max_interval_reduction_pct()
+            );
+        }
+        if rep.errors_handled > 0 {
+            let recomputed: u64 = rep.recoveries.iter().map(|x| x.recomputed_values).sum();
+            let waste: u64 = rep.recoveries.iter().map(|x| x.waste_cycles).sum();
+            println!("  errors handled  {:>14}", rep.errors_handled);
+            println!("  recomputed      {:>14}", recomputed);
+            println!("  wasted cycles   {:>14}", waste);
+        }
+        if rep.secondary_checkpoints > 0 {
+            println!(
+                "  level-2 ckpts   {:>14} ({} B)",
+                rep.secondary_checkpoints, rep.secondary_bytes
+            );
+        }
+    }
+    if let Some(a) = &r.acr {
+        println!(
+            "  AddrMap         {:>14} writes, {} reads, peak {} live, {} capacity drops",
+            a.addrmap_writes, a.addrmap_reads, a.addrmap_peak_live, a.capacity_rejections
+        );
+    }
+}
+
+/// Runs one workload's `No_Ckpt` baseline, then its `ReCkpt` run with the
+/// `Ckpt` baseline for context (`--policy acr`), the `Ckpt` run alone
+/// (`--policy baseline`), or uniform against adaptive placement
+/// (`--adaptive`).
+fn experiment(a: CliArgs) -> Result<ExitCode, String> {
+    let bench = a.workload()?;
+    // `--seed` is the workload generator's seed here.
+    let program = generate(
+        bench,
+        &WorkloadConfig {
+            threads: a.threads,
+            scale: a.scale,
+            seed: a.seed,
+        },
+    );
+    println!(
+        "workload {} — {} threads, {} static instrs, {} B image",
+        bench,
+        program.num_threads(),
+        program.static_len(),
+        program.mem_bytes()
+    );
+    let mut spec = ExperimentSpec {
+        detection_latency_frac: a.latency,
+        ..a.spec(bench)
+    }
+    .with_checkpoints(a.checkpoints)
+    .with_scheme(a.scheme)
+    .with_oracle(a.oracle);
+    if let Some(t) = a.threshold {
+        spec = spec.with_threshold(t);
+    }
+    if let Some(cap) = a.addrmap {
+        spec.addrmap = AddrMapConfig {
+            capacity_per_core: cap,
+        };
+    }
+    if let Some(every) = a.secondary {
+        spec.secondary = Some(SecondaryStorage {
+            every,
+            ..Default::default()
+        });
+    }
+    let err = |e: ExperimentError| e.to_string();
+    let mut exp = Experiment::new(program, spec).map_err(err)?;
+    let no = exp.run_no_ckpt().map_err(err)?;
+    print_result("No_Ckpt", &no, None);
+
+    if a.adaptive && a.amnesic {
+        let outcome = placement::tune(&mut exp, 4).map_err(err)?;
+        print_result("ReCkpt (uniform)", &outcome.uniform, Some(&no));
+        print_result("ReCkpt (adaptive placement)", &outcome.adaptive, Some(&no));
+        println!(
+            "adaptive placement: {:+.2}% bytes, {:+.2}% time vs uniform",
+            outcome.bytes_improvement_pct(),
+            outcome.time_improvement_pct()
+        );
+        return Ok(ExitCode::SUCCESS);
+    }
+    let main = if a.amnesic {
+        exp.run_reckpt(a.errors)
+    } else {
+        exp.run_ckpt(a.errors)
+    }
+    .map_err(err)?;
+    print_result(&main.label, &main, Some(&no));
+    if a.amnesic {
+        // Show the baseline for context.
+        let base = exp.run_ckpt(a.errors).map_err(err)?;
+        print_result(&base.label, &base, Some(&no));
+        println!(
+            "ACR vs baseline: {:.2}% time, {:.2}% energy, {:.2}% EDP reduction",
+            100.0 * (base.cycles as f64 - main.cycles as f64) / base.cycles as f64,
+            100.0 * (base.energy.total_joules() - main.energy.total_joules())
+                / base.energy.total_joules(),
+            main.edp_reduction_pct(&base),
+        );
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let name = match args.first().map(String::as_str) {
+        None | Some("-h" | "--help") => "help",
+        Some(name) => name,
+    };
     // One dispatcher, one error path: every subcommand returns
     // `Result<ExitCode, String>`; any `Err` prints a single `error: …`
     // line on stderr and exits 2 (usage/config), while gate failures
     // (inject divergence/abort, diff regression) exit 1 via `Ok`.
-    let result = match args.first().map(String::as_str) {
-        Some("inject") => inject(&args[1..]),
-        Some("trace") => trace(&args[1..]),
-        Some("profile") => profile(&args[1..]),
-        Some("bench") => bench(&args[1..]),
-        Some("diff") => diff(&args[1..]),
-        Some("explain") => explain(&args[1..]),
-        Some("soak") => soak(&args[1..]),
-        Some("shrink") => shrink(&args[1..]),
-        Some("workloads") => {
-            for b in Benchmark::ALL {
-                println!("{}", b.name());
-            }
-            Ok(ExitCode::SUCCESS)
-        }
-        Some("help" | "-h" | "--help") | None => {
-            print!("{USAGE}");
-            Ok(ExitCode::SUCCESS)
-        }
-        Some(other) => Err(format!("unknown subcommand `{other}` (try `acr_cli help`)")),
-    };
+    let result = Subcommand::named(name)
+        .ok_or_else(|| format!("unknown subcommand `{name}` (try `acr_cli help`)"))
+        .and_then(|sub| {
+            let (a, operands) = sub.parse(args.get(1..).unwrap_or_default())?;
+            (sub.run)(a, &operands)
+        });
     match result {
         Ok(code) => code,
         Err(msg) => {
             eprintln!("error: {msg}");
             ExitCode::from(2)
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn inject_args(args: &str) -> CliArgs {
+        let args: Vec<String> = args.split_whitespace().map(str::to_owned).collect();
+        let (a, operands) = Subcommand::named("inject").unwrap().parse(&args).unwrap();
+        assert!(operands.is_empty());
+        a
+    }
+
+    #[test]
+    fn repro_line_parses_back_to_the_same_args() {
+        for args in [
+            "",
+            "--seed 7 --faults 30 --workloads cg --threads 2 --scale 0.03 --kinds mem",
+            "--kinds reg,pc,mem,burst,stuck --storm 200,3 --watchdog-budget 400000",
+            "--recovery-faults --generations 3 --policy baseline --scheme local",
+            "--latency 0.25 --checkpoints 7 --sample-interval 4000 --threads 64",
+        ] {
+            let a = inject_args(args);
+            let line = repro_line(&a);
+            let rest = line.strip_prefix("acr_cli inject").unwrap();
+            assert_eq!(inject_args(rest), a, "{args} -> {line}");
+        }
+    }
+
+    #[test]
+    fn repro_line_names_only_changed_optional_flags() {
+        assert_eq!(
+            repro_line(&CliArgs::default()),
+            "acr_cli inject --seed 42 --faults 1000 --workloads is,cg,mg --threads 4 \
+             --scale 0.05 --checkpoints 12 --latency 0.5 --kinds reg,pc,crash --policy acr \
+             --scheme global"
+        );
+    }
+
+    #[test]
+    fn every_table_flag_is_accepted_somewhere_and_documented() {
+        let help = usage();
+        for f in FLAGS {
+            assert!(
+                SUBCOMMANDS
+                    .iter()
+                    .any(|s| s.flag_names().any(|n| n == f.name)),
+                "{} is accepted by no subcommand",
+                f.name
+            );
+            assert!(help.contains(&format!("    {} ", f.name)), "{}", f.name);
+        }
+    }
+
+    #[test]
+    fn every_subcommand_names_only_table_flags_once() {
+        for sub in SUBCOMMANDS {
+            let names: Vec<&str> = sub.flag_names().collect();
+            for (i, name) in names.iter().enumerate() {
+                assert!(FLAGS.iter().any(|f| f.name == *name), "{name}");
+                assert!(!names[..i].contains(name), "{} repeats {name}", sub.name);
+            }
         }
     }
 }
