@@ -415,7 +415,7 @@ impl<'p, P: OmissionPolicy> BerEngine<'p, P> {
                 .then(|| machine.mem().image().shared_snapshot(None)),
         };
         initial.seal();
-        let mut checkpoints = VecDeque::with_capacity(retained_checkpoints + 1);
+        let mut checkpoints = VecDeque::new();
         checkpoints.push_back(initial);
         let pending_recovery_faults = cfg.resilience.recovery_faults.clone();
         BerEngine {

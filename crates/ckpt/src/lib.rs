@@ -62,8 +62,8 @@ pub use postmortem::{
 pub use report::{BerReport, IntervalRecord, RecoveryRecord};
 pub use schedule::{uniform_points, ErrorSchedule};
 pub use shrink::{
-    dense_fault_plan, fault_from_json, fault_to_json, replay_case, shrink_case, CaseFailure,
-    ShrinkConfig, ShrinkOutcome, REPRO_SCHEMA,
+    dense_fault_plan, fault_from_json, fault_to_json, fault_value, replay_case, shrink_case,
+    CaseFailure, ShrinkConfig, ShrinkOutcome, REPRO_SCHEMA,
 };
 pub use soak::{
     chunk_config, chunk_seed, default_models, default_resilience, run_soak, SoakCell, SoakCombo,

@@ -23,7 +23,7 @@
 //! bundle files. [`PostmortemBundle::to_json`] emits the `acr.postmortem.v1`
 //! schema that `acr_cli explain` renders.
 
-use acr_trace::{push_json_string, EventKind, FlightRecorder, Fnv1a, Ring, TraceEvent};
+use acr_trace::{EventKind, FlightRecorder, Fnv1a, Json, JsonStyle, Ring, TraceEvent};
 
 use crate::inject::{fault_detail, FaultCaseRecord};
 use crate::monitor::InvariantSummary;
@@ -270,173 +270,129 @@ impl PostmortemBundle {
     }
 
     /// Serialises the bundle as deterministic `acr.postmortem.v1` JSON
-    /// (fixed key order, integers only, `mem_fnv` as a hex string so it
-    /// survives `f64` parsers, trailing newline).
+    /// (fixed key order, integers only, `mem_fnv` as a hex string like
+    /// every hash, trailing newline).
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut o = String::with_capacity(4096);
-        o.push_str("{\n");
-        let _ = write!(o, "  \"schema\": ");
-        push_json_string(&mut o, POSTMORTEM_SCHEMA);
-        let _ = write!(o, ",\n  \"trigger\": ");
-        push_json_string(&mut o, self.trigger);
-        let _ = write!(o, ",\n  \"workload\": ");
-        push_json_string(&mut o, &self.workload);
-        let _ = write!(o, ",\n  \"repro\": ");
-        push_json_string(&mut o, &self.repro);
-        let _ = write!(
-            o,
-            ",\n  \"seed\": {},\n  \"case\": {},",
-            self.seed, self.case
-        );
-        let _ = write!(o, "\n  \"fault\": {{\"kind\": ");
-        push_json_string(&mut o, self.fault_kind);
-        let _ = write!(o, ", \"detail\": ");
-        push_json_string(&mut o, &self.fault_detail);
-        let _ = write!(
-            o,
-            ", \"core\": {}, \"at_progress\": {}, \"landing_cycle\": {}}},",
-            self.fault_core, self.fault_at_progress, self.landing_cycle
-        );
-        let _ = write!(o, "\n  \"recovery_fault\": ");
-        match self.recovery_fault {
-            Some(label) => push_json_string(&mut o, label),
-            None => o.push_str("null"),
-        }
-        let _ = write!(o, ",\n  \"outcome\": ");
-        push_json_string(&mut o, self.outcome);
-        let _ = write!(
-            o,
-            ",\n  \"machine\": {{\"cycles\": {}, \"final_retired\": {}, \"mem_fnv\": \"{:#018x}\", \
-             \"mem_divergence\": {}, \"reg_divergence\": {}, \"shadow_divergence\": {}}},",
-            self.cycles,
-            self.final_retired,
-            self.mem_fnv,
-            self.mem_divergence,
-            self.reg_divergence,
-            self.shadow_divergence
-        );
-        let _ = write!(
-            o,
-            "\n  \"log\": {{\"lifetime_logged\": {}, \"lifetime_omitted\": {}, \
-             \"intervals_dropped\": {}, \"intervals_tail\": [",
-            self.lifetime_logged, self.lifetime_omitted, self.intervals_dropped
-        );
-        for (i, iv) in self.intervals_tail.iter().enumerate() {
-            if i > 0 {
-                o.push_str(", ");
-            }
-            let _ = write!(
-                o,
-                "{{\"epoch\": {}, \"progress\": {}, \"records\": {}, \"omitted\": {}, \
-                 \"bytes\": {}, \"stall_cycles\": {}}}",
-                iv.epoch, iv.progress, iv.records, iv.omitted, iv.bytes, iv.stall_cycles
-            );
-        }
-        o.push_str("]},");
-        let _ = write!(
-            o,
-            "\n  \"escalation\": {{\"exhausted\": {}, \"steps\": [",
-            self.escalation_exhausted
-        );
-        for (i, s) in self.escalation.iter().enumerate() {
-            if i > 0 {
-                o.push_str(", ");
-            }
-            let _ = write!(
-                o,
-                "{{\"detected_at_cycles\": {}, \"safe_epoch\": {}, \"replay_retries\": {}, \
-                 \"generation_fallbacks\": {}, \"degraded_entered\": {}}}",
-                s.detected_at_cycles,
-                s.safe_epoch,
-                s.replay_retries,
-                s.generation_fallbacks,
-                s.degraded_entered
-            );
-        }
-        o.push_str("]},");
-        let _ = write!(
-            o,
-            "\n  \"invariants\": {{\"breaches\": {}, \"monitors\": {{",
-            self.invariants.total_breaches()
-        );
-        for (i, (name, c)) in self.invariants.monitors().iter().enumerate() {
-            if i > 0 {
-                o.push_str(", ");
-            }
-            push_json_string(&mut o, name);
-            let _ = write!(
-                o,
-                ": {{\"checks\": {}, \"breaches\": {}}}",
-                c.checks, c.breaches
-            );
-        }
-        o.push_str("}, \"first_breach\": ");
-        match &self.invariants.first_breach {
-            Some(b) => {
-                o.push_str("{\"monitor\": ");
-                push_json_string(&mut o, b.monitor);
-                let _ = write!(
-                    o,
-                    ", \"epoch\": {}, \"cycle\": {}, \"detail\": ",
-                    b.epoch, b.cycle
-                );
-                push_json_string(&mut o, &b.detail);
-                o.push('}');
-            }
-            None => o.push_str("null"),
-        }
-        o.push_str("},");
-        o.push_str("\n  \"rings\": [");
-        for (i, r) in self.rings.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            o.push_str("\n    {\"track\": ");
-            push_json_string(&mut o, &r.track);
-            let _ = write!(
-                o,
-                ", \"capacity\": {}, \"total\": {}, \"dropped\": {}, \"events\": [",
-                r.capacity, r.total, r.dropped
-            );
-            for (j, ev) in r.events.iter().enumerate() {
-                if j > 0 {
-                    o.push(',');
-                }
-                o.push_str("\n      {\"kind\": ");
-                push_json_string(&mut o, ev.kind);
-                o.push_str(", \"name\": ");
-                push_json_string(&mut o, &ev.name);
-                o.push_str(", \"cat\": ");
-                push_json_string(&mut o, &ev.cat);
-                let _ = write!(
-                    o,
-                    ", \"track\": {}, \"cycle\": {}, \"dur\": {}, \"args\": {{",
-                    ev.track, ev.cycle, ev.dur
-                );
-                for (k, (key, val)) in ev.args.iter().enumerate() {
-                    if k > 0 {
-                        o.push_str(", ");
-                    }
-                    push_json_string(&mut o, key);
-                    let _ = write!(o, ": {val}");
-                }
-                o.push_str("}}");
-            }
-            if !r.events.is_empty() {
-                o.push_str("\n    ");
-            }
-            o.push_str("]}");
-        }
-        if !self.rings.is_empty() {
-            o.push_str("\n  ");
-        }
-        o.push_str("],");
-        o.push_str("\n  \"probable_cause\": ");
-        push_json_string(&mut o, &self.probable_cause);
-        o.push_str("\n}\n");
-        o
+        let inv = &self.invariants;
+        let monitors = inv.monitors().map(|(name, c)| {
+            let counts = [("checks", c.checks.into()), ("breaches", c.breaches.into())];
+            (name, Json::obj(counts))
+        });
+        let first_breach = inv.first_breach.as_ref().map(|b| {
+            Json::obj([
+                ("monitor", b.monitor.into()),
+                ("epoch", b.epoch.into()),
+                ("cycle", b.cycle.into()),
+                ("detail", b.detail.as_str().into()),
+            ])
+        });
+        let intervals = self.intervals_tail.iter().map(interval_json).collect();
+        let steps = self.escalation.iter().map(step_json).collect();
+        Json::obj([
+            ("schema", POSTMORTEM_SCHEMA.into()),
+            ("trigger", self.trigger.into()),
+            ("workload", self.workload.as_str().into()),
+            ("repro", self.repro.as_str().into()),
+            ("seed", self.seed.into()),
+            ("case", self.case.into()),
+            (
+                "fault",
+                Json::obj([
+                    ("kind", self.fault_kind.into()),
+                    ("detail", self.fault_detail.as_str().into()),
+                    ("core", self.fault_core.into()),
+                    ("at_progress", self.fault_at_progress.into()),
+                    ("landing_cycle", self.landing_cycle.into()),
+                ]),
+            ),
+            ("recovery_fault", self.recovery_fault.into()),
+            ("outcome", self.outcome.into()),
+            (
+                "machine",
+                Json::obj([
+                    ("cycles", self.cycles.into()),
+                    ("final_retired", self.final_retired.into()),
+                    ("mem_fnv", Json::hex(self.mem_fnv)),
+                    ("mem_divergence", self.mem_divergence.into()),
+                    ("reg_divergence", self.reg_divergence.into()),
+                    ("shadow_divergence", self.shadow_divergence.into()),
+                ]),
+            ),
+            (
+                "log",
+                Json::obj([
+                    ("lifetime_logged", self.lifetime_logged.into()),
+                    ("lifetime_omitted", self.lifetime_omitted.into()),
+                    ("intervals_dropped", self.intervals_dropped.into()),
+                    ("intervals_tail", Json::Arr(intervals)),
+                ]),
+            ),
+            (
+                "escalation",
+                Json::obj([
+                    ("exhausted", self.escalation_exhausted.into()),
+                    ("steps", Json::Arr(steps)),
+                ]),
+            ),
+            (
+                "invariants",
+                Json::obj([
+                    ("breaches", inv.total_breaches().into()),
+                    ("monitors", Json::obj(monitors)),
+                    ("first_breach", first_breach.into()),
+                ]),
+            ),
+            (
+                "rings",
+                Json::Arr(self.rings.iter().map(ring_json).collect()),
+            ),
+            ("probable_cause", self.probable_cause.as_str().into()),
+        ])
+        .to_document(JsonStyle::SPACED, &["rings", "events"])
     }
+}
+
+fn interval_json(iv: &IntervalRecord) -> Json {
+    Json::obj([
+        ("epoch", iv.epoch.into()),
+        ("progress", iv.progress.into()),
+        ("records", iv.records.into()),
+        ("omitted", iv.omitted.into()),
+        ("bytes", iv.bytes.into()),
+        ("stall_cycles", iv.stall_cycles.into()),
+    ])
+}
+
+fn step_json(s: &EscalationStep) -> Json {
+    Json::obj([
+        ("detected_at_cycles", s.detected_at_cycles.into()),
+        ("safe_epoch", s.safe_epoch.into()),
+        ("replay_retries", s.replay_retries.into()),
+        ("generation_fallbacks", s.generation_fallbacks.into()),
+        ("degraded_entered", s.degraded_entered.into()),
+    ])
+}
+
+fn ring_json(r: &RingDigest) -> Json {
+    let events = r.events.iter().map(|ev| {
+        let args = ev.args.iter().map(|(k, v)| (k.as_str(), (*v).into()));
+        Json::obj([
+            ("kind", ev.kind.into()),
+            ("name", ev.name.as_str().into()),
+            ("cat", ev.cat.as_str().into()),
+            ("track", ev.track.into()),
+            ("cycle", ev.cycle.into()),
+            ("dur", ev.dur.into()),
+            ("args", Json::obj(args)),
+        ])
+    });
+    Json::obj([
+        ("track", r.track.as_str().into()),
+        ("capacity", r.capacity.into()),
+        ("total", r.total.into()),
+        ("dropped", r.dropped.into()),
+        ("events", Json::Arr(events.collect())),
+    ])
 }
 
 /// Builds the probable-cause narrative: first breach wins, otherwise the
@@ -566,6 +522,135 @@ mod tests {
             hung: false,
             outcome,
         }
+    }
+
+    /// A bundle touching every field shape: two rings (the second
+    /// empty), escalation steps, an interval tail, a first breach and
+    /// strings that need escaping.
+    fn golden_bundle() -> PostmortemBundle {
+        let mut invariants = InvariantSummary::default();
+        invariants.observe(
+            "checksum_spot",
+            4,
+            900,
+            Some("record \"2\" failed\tverify".into()),
+        );
+        invariants.observe("log_conservation", 5, 950, None);
+        let interval = |epoch| IntervalRecord {
+            epoch,
+            progress: 100 * epoch,
+            records: 12,
+            omitted: 3,
+            bytes: 4096,
+            baseline_bytes: 5000,
+            stall_cycles: 77,
+            lines_flushed: 9,
+        };
+        PostmortemBundle {
+            trigger: "divergence",
+            workload: "cg".into(),
+            repro: "acr_cli inject --seed 42 --kinds mem".into(),
+            seed: 12_058_926_934_050_108_962,
+            case: 7,
+            fault_kind: "mem",
+            fault_detail: "0x40b5".into(),
+            fault_core: 1,
+            fault_at_progress: 500,
+            landing_cycle: 2000,
+            recovery_fault: Some("torn-record"),
+            outcome: "diverged",
+            cycles: 4000,
+            final_retired: 1000,
+            mem_fnv: 0xcbf2_9ce4_8422_2325,
+            mem_divergence: 2,
+            reg_divergence: 0,
+            shadow_divergence: 1,
+            lifetime_logged: 7,
+            lifetime_omitted: 3,
+            intervals_tail: vec![interval(5), interval(6)],
+            intervals_dropped: 4,
+            escalation: vec![EscalationStep {
+                detected_at_cycles: 1500,
+                safe_epoch: 3,
+                replay_retries: 1,
+                generation_fallbacks: 0,
+                degraded_entered: true,
+            }],
+            escalation_exhausted: 1,
+            invariants,
+            rings: vec![
+                RingDigest {
+                    track: "core0".into(),
+                    capacity: 4,
+                    total: 6,
+                    dropped: 2,
+                    events: vec![
+                        EventRecord {
+                            kind: "span",
+                            name: "ckpt".into(),
+                            cat: "ckpt".into(),
+                            track: 0,
+                            cycle: 10,
+                            dur: 4,
+                            args: vec![("epoch".into(), 3), ("records".into(), 12)],
+                        },
+                        EventRecord {
+                            kind: "instant",
+                            name: "fault.inject".into(),
+                            cat: "fault".into(),
+                            track: 0,
+                            cycle: 20,
+                            dur: 0,
+                            args: vec![],
+                        },
+                    ],
+                },
+                RingDigest {
+                    track: "global".into(),
+                    capacity: 2,
+                    total: 0,
+                    dropped: 0,
+                    events: vec![],
+                },
+            ],
+            probable_cause: "mem fault (\"x\")\nline two \u{1} -> divergence".into(),
+        }
+    }
+
+    /// The bundle's exact bytes, as the hand-written emitter that preceded
+    /// the `Json` writer produced them.
+    const GOLDEN: &str = r#"{
+  "schema": "acr.postmortem.v1",
+  "trigger": "divergence",
+  "workload": "cg",
+  "repro": "acr_cli inject --seed 42 --kinds mem",
+  "seed": 12058926934050108962,
+  "case": 7,
+  "fault": {"kind": "mem", "detail": "0x40b5", "core": 1, "at_progress": 500, "landing_cycle": 2000},
+  "recovery_fault": "torn-record",
+  "outcome": "diverged",
+  "machine": {"cycles": 4000, "final_retired": 1000, "mem_fnv": "0xcbf29ce484222325", "mem_divergence": 2, "reg_divergence": 0, "shadow_divergence": 1},
+  "log": {"lifetime_logged": 7, "lifetime_omitted": 3, "intervals_dropped": 4, "intervals_tail": [{"epoch": 5, "progress": 500, "records": 12, "omitted": 3, "bytes": 4096, "stall_cycles": 77}, {"epoch": 6, "progress": 600, "records": 12, "omitted": 3, "bytes": 4096, "stall_cycles": 77}]},
+  "escalation": {"exhausted": 1, "steps": [{"detected_at_cycles": 1500, "safe_epoch": 3, "replay_retries": 1, "generation_fallbacks": 0, "degraded_entered": true}]},
+  "invariants": {"breaches": 1, "monitors": {"log_conservation": {"checks": 1, "breaches": 0}, "epoch_monotonic": {"checks": 0, "breaches": 0}, "addrmap_occupancy": {"checks": 0, "breaches": 0}, "checksum_spot": {"checks": 1, "breaches": 1}, "machine_audit": {"checks": 0, "breaches": 0}}, "first_breach": {"monitor": "checksum_spot", "epoch": 4, "cycle": 900, "detail": "record \"2\" failed\tverify"}},
+  "rings": [
+    {"track": "core0", "capacity": 4, "total": 6, "dropped": 2, "events": [
+      {"kind": "span", "name": "ckpt", "cat": "ckpt", "track": 0, "cycle": 10, "dur": 4, "args": {"epoch": 3, "records": 12}},
+      {"kind": "instant", "name": "fault.inject", "cat": "fault", "track": 0, "cycle": 20, "dur": 0, "args": {}}
+    ]},
+    {"track": "global", "capacity": 2, "total": 0, "dropped": 0, "events": []}
+  ],
+  "probable_cause": "mem fault (\"x\")\nline two \u0001 -> divergence"
+}
+"#;
+
+    #[test]
+    fn json_bytes_are_pinned() {
+        let b = golden_bundle();
+        assert_eq!(b.to_json(), GOLDEN);
+        // The seed sits above 2^53 and still comes back exactly.
+        let doc = parse_json(GOLDEN).unwrap();
+        assert_eq!(doc.u64_field("seed"), Ok(b.seed));
     }
 
     #[test]

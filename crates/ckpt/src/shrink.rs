@@ -24,12 +24,10 @@
 //! plan serializes to a small `acr.repro.v1` JSON document via
 //! [`fault_to_json`]; [`fault_from_json`] round-trips it for replay.
 
-use std::fmt::Write as _;
-
 use acr_isa::Program;
 use acr_mem::{CoreId, WordAddr};
 use acr_sim::{Fault, FaultKind, FaultPlan, FaultPlanConfig, MachineConfig};
-use acr_trace::{push_json_string, Json, MetricsRegistry};
+use acr_trace::{Json, JsonStyle, MetricsRegistry};
 
 use crate::errors::CkptError;
 use crate::inject::{
@@ -475,98 +473,97 @@ where
     })
 }
 
-/// Serializes one fault as a compact JSON object (kind-specific fields
-/// only; addresses as hex strings). Inverse of [`fault_from_json`].
-pub fn fault_to_json(f: &Fault) -> String {
-    let mut o = format!(
-        "{{\"at\": {}, \"core\": {}, \"kind\": ",
-        f.at_progress, f.core.0
-    );
-    push_json_string(&mut o, f.kind.label());
+/// One fault as a [`Json`] object (kind-specific fields only; addresses
+/// as hex strings) — the element of a repro document's `faults` list.
+pub fn fault_value(f: &Fault) -> Json {
+    let addr = |a: WordAddr| Json::Str(format!("{:#x}", a.byte()));
+    let mut members = vec![
+        ("at", f.at_progress.into()),
+        ("core", f.core.0.into()),
+        ("kind", f.kind.label().into()),
+    ];
     match f.kind {
         FaultKind::RegBitFlip { reg, bit } => {
-            let _ = write!(o, ", \"reg\": {reg}, \"bit\": {bit}");
+            members.extend([("reg", reg.into()), ("bit", bit.into())]);
         }
-        FaultKind::PcBitFlip { bit } => {
-            let _ = write!(o, ", \"bit\": {bit}");
+        FaultKind::PcBitFlip { bit } => members.push(("bit", bit.into())),
+        FaultKind::MemBitFlip { addr: a, bit } => {
+            members.extend([("addr", addr(a)), ("bit", bit.into())]);
         }
-        FaultKind::MemBitFlip { addr, bit } => {
-            let _ = write!(o, ", \"addr\": \"{:#x}\", \"bit\": {bit}", addr.byte());
-        }
-        FaultKind::MemBurst { addr, bit, span } => {
-            let _ = write!(
-                o,
-                ", \"addr\": \"{:#x}\", \"bit\": {bit}, \"span\": {span}",
-                addr.byte()
-            );
+        FaultKind::MemBurst { addr: a, bit, span } => {
+            members.extend([
+                ("addr", addr(a)),
+                ("bit", bit.into()),
+                ("span", span.into()),
+            ]);
         }
         FaultKind::StuckAt {
-            addr,
+            addr: a,
             bit,
             stuck_one,
-        } => {
-            let _ = write!(
-                o,
-                ", \"addr\": \"{:#x}\", \"bit\": {bit}, \"stuck_one\": {stuck_one}",
-                addr.byte()
-            );
-        }
+        } => members.extend([
+            ("addr", addr(a)),
+            ("bit", bit.into()),
+            ("stuck_one", stuck_one.into()),
+        ]),
         FaultKind::Crash => {}
     }
-    o.push('}');
-    o
+    Json::obj(members)
 }
 
-/// Parses a fault serialized by [`fault_to_json`].
+/// Serializes one fault as a one-line JSON object ([`fault_value`] in the
+/// spaced style). Inverse of [`fault_from_json`].
+pub fn fault_to_json(f: &Fault) -> String {
+    fault_value(f).to_inline(JsonStyle::SPACED)
+}
+
+/// Parses a fault serialized by [`fault_to_json`]. Fields are read at
+/// their full width and rejected when they do not fit; whether they fit
+/// the machine and program is [`Fault::check`]'s job.
 ///
 /// # Errors
 ///
 /// Returns a message naming the missing or malformed field.
 pub fn fault_from_json(j: &Json) -> Result<Fault, String> {
-    let num = |key: &str| -> Result<u64, String> {
-        j.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("fault field `{key}` missing"))
-    };
-    let bit = || num("bit").map(|b| b as u8);
+    fn narrow<T: TryFrom<u64>>(j: &Json, key: &str) -> Result<T, String> {
+        let v = j.u64_field(key)?;
+        T::try_from(v).map_err(|_| format!("field `{key}`: {v} is out of range"))
+    }
     let addr = || -> Result<WordAddr, String> {
-        let s = j
-            .get("addr")
-            .and_then(Json::as_str)
-            .ok_or("fault field `addr` missing")?;
-        let b = u64::from_str_radix(s.trim_start_matches("0x"), 16)
-            .map_err(|e| format!("fault field `addr`: {e}"))?;
+        let b = j.hex_field("addr")?;
         if b % WORD_BYTES != 0 {
-            return Err(format!("fault field `addr`: {b:#x} is not word-aligned"));
+            return Err(format!("field `addr`: {b:#x} is not word-aligned"));
         }
         Ok(WordAddr::new(b))
     };
-    let kind = match j.get("kind").and_then(Json::as_str).unwrap_or("") {
+    let kind = match j.str_field("kind")? {
         "reg" => FaultKind::RegBitFlip {
-            reg: num("reg")? as u8,
-            bit: bit()?,
+            reg: narrow(j, "reg")?,
+            bit: narrow(j, "bit")?,
         },
-        "pc" => FaultKind::PcBitFlip { bit: bit()? },
+        "pc" => FaultKind::PcBitFlip {
+            bit: narrow(j, "bit")?,
+        },
         "mem" => FaultKind::MemBitFlip {
             addr: addr()?,
-            bit: bit()?,
+            bit: narrow(j, "bit")?,
         },
         "burst" => FaultKind::MemBurst {
             addr: addr()?,
-            bit: bit()?,
-            span: num("span")? as u8,
+            bit: narrow(j, "bit")?,
+            span: narrow(j, "span")?,
         },
         "stuck" => FaultKind::StuckAt {
             addr: addr()?,
-            bit: bit()?,
-            stuck_one: matches!(j.get("stuck_one"), Some(Json::Bool(true))),
+            bit: narrow(j, "bit")?,
+            stuck_one: j.bool_field("stuck_one")?,
         },
         "crash" => FaultKind::Crash,
         other => return Err(format!("unknown fault kind `{other}`")),
     };
     Ok(Fault {
-        at_progress: num("at")?,
-        core: CoreId(num("core")? as u32),
+        at_progress: j.u64_field("at")?,
+        core: CoreId(narrow(j, "core")?),
         kind,
     })
 }

@@ -22,7 +22,7 @@
 use std::fmt::Write as _;
 
 use acr_sim::{FaultKindSet, FaultStorm};
-use acr_trace::{parse_json, push_json_string, Fnv1a, Json, MetricsRegistry};
+use acr_trace::{parse_json, Fnv1a, Json, JsonStyle, MetricsRegistry};
 
 use crate::inject::{CampaignConfig, CampaignError, CampaignReport};
 use crate::postmortem::PostmortemBundle;
@@ -306,30 +306,29 @@ impl SoakCursor {
         out
     }
 
-    /// Serializes the cursor (deterministic, hand-rolled like every other
-    /// JSON artifact in the workspace; `u64`s that can exceed 2^53 are
-    /// hex strings).
+    /// Serializes the cursor (deterministic; `seed`, `fingerprint` and
+    /// `hash_chain` are hex strings like every hash in the workspace).
     pub fn to_json(&self) -> String {
-        let mut o = String::from("{\n  \"schema\": ");
-        push_json_string(&mut o, SOAK_CURSOR_SCHEMA);
-        let _ = write!(o, ",\n  \"seed\": \"{:#x}\"", self.seed);
-        let _ = write!(o, ",\n  \"chunk_cases\": {}", self.chunk_cases);
-        let _ = write!(o, ",\n  \"fingerprint\": \"{:#018x}\"", self.fingerprint);
-        let _ = write!(o, ",\n  \"chunks_done\": {}", self.chunks_done);
-        o.push_str(",\n  \"cells\": [");
-        for (i, c) in self.cells.iter().enumerate() {
-            o.push_str(if i == 0 { "\n" } else { ",\n" });
-            o.push_str("    {\"key\": ");
-            push_json_string(&mut o, &c.key);
-            let _ = write!(
-                o,
-                ", \"cases\": {}, \"recovered\": {}, \"due\": {}, \"sdc\": {}, \
-                 \"hang\": {}, \"hash_chain\": \"{:#018x}\"}}",
-                c.cases, c.recovered, c.due, c.sdc, c.hang, c.hash_chain
-            );
-        }
-        o.push_str("\n  ]\n}\n");
-        o
+        let cells = self.cells.iter().map(|c| {
+            Json::obj([
+                ("key", c.key.as_str().into()),
+                ("cases", c.cases.into()),
+                ("recovered", c.recovered.into()),
+                ("due", c.due.into()),
+                ("sdc", c.sdc.into()),
+                ("hang", c.hang.into()),
+                ("hash_chain", Json::hex(c.hash_chain)),
+            ])
+        });
+        Json::obj([
+            ("schema", SOAK_CURSOR_SCHEMA.into()),
+            ("seed", Json::Str(format!("{:#x}", self.seed))),
+            ("chunk_cases", self.chunk_cases.into()),
+            ("fingerprint", Json::hex(self.fingerprint)),
+            ("chunks_done", self.chunks_done.into()),
+            ("cells", Json::Arr(cells.collect())),
+        ])
+        .to_document(JsonStyle::SPACED, &["cells"])
     }
 
     /// Parses and validates a cursor against `grid`: schema, fingerprint
@@ -347,62 +346,52 @@ impl SoakCursor {
                 "unknown cursor schema `{schema}` (expected {SOAK_CURSOR_SCHEMA})"
             ));
         }
-        let hex = |j: &Json, key: &str| -> Result<u64, String> {
-            let s = j
-                .get(key)
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("cursor field `{key}` missing"))?;
-            u64::from_str_radix(s.trim_start_matches("0x"), 16)
-                .map_err(|e| format!("cursor field `{key}`: {e}"))
-        };
-        let num = |j: &Json, key: &str| -> Result<u64, String> {
-            j.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("cursor field `{key}` missing"))
-        };
-        let fingerprint = hex(&j, "fingerprint")?;
+        Self::from_json(&j, grid).map_err(|e| format!("cursor {e}"))
+    }
+
+    fn from_json(j: &Json, grid: &SoakGrid) -> Result<SoakCursor, String> {
+        let fingerprint = j.hex_field("fingerprint")?;
         if fingerprint != grid.fingerprint() {
             return Err(format!(
-                "cursor fingerprint {fingerprint:#018x} does not match this \
+                "fingerprint {fingerprint:#018x} does not match this \
                  grid ({:#018x}) — workloads, models or presets changed",
                 grid.fingerprint()
             ));
         }
-        let cells_json = j
-            .get("cells")
-            .and_then(Json::as_arr)
-            .ok_or("cursor field `cells` missing")?;
+        let cells_json = j.arr_field("cells")?;
         if cells_json.len() != grid.combos.len() {
             return Err(format!(
-                "cursor has {} cells, grid has {} combos",
+                "has {} cells, grid has {} combos",
                 cells_json.len(),
                 grid.combos.len()
             ));
         }
         let mut cells = Vec::with_capacity(cells_json.len());
         for (c, combo) in cells_json.iter().zip(&grid.combos) {
-            let key = c.get("key").and_then(Json::as_str).unwrap_or("");
+            let key = c.str_field("key")?;
             if key != combo.key() {
                 return Err(format!(
-                    "cursor cell `{key}` does not match grid combo `{}`",
+                    "cell `{key}` does not match grid combo `{}`",
                     combo.key()
                 ));
             }
             cells.push(SoakCell {
                 key: key.to_string(),
-                cases: num(c, "cases")?,
-                recovered: num(c, "recovered")?,
-                due: num(c, "due")?,
-                sdc: num(c, "sdc")?,
-                hang: num(c, "hang")?,
-                hash_chain: hex(c, "hash_chain")?,
+                cases: c.u64_field("cases")?,
+                recovered: c.u64_field("recovered")?,
+                due: c.u64_field("due")?,
+                sdc: c.u64_field("sdc")?,
+                hang: c.u64_field("hang")?,
+                hash_chain: c.hex_field("hash_chain")?,
             });
         }
+        let chunk_cases = j.u64_field("chunk_cases")?;
         Ok(SoakCursor {
-            seed: hex(&j, "seed")?,
-            chunk_cases: num(&j, "chunk_cases")? as u32,
+            seed: j.hex_field("seed")?,
+            chunk_cases: u32::try_from(chunk_cases)
+                .map_err(|_| format!("field `chunk_cases`: {chunk_cases} is out of range"))?,
             fingerprint,
-            chunks_done: num(&j, "chunks_done")?,
+            chunks_done: j.u64_field("chunks_done")?,
             cells,
         })
     }
@@ -602,6 +591,72 @@ mod tests {
             |c| c.chunks_done < stop_at,
         )
         .expect("soak runs")
+    }
+
+    /// A two-cell cursor whose `u64`s sit at the top of the range.
+    fn golden_cursor() -> SoakCursor {
+        SoakCursor {
+            seed: u64::MAX - 1,
+            chunk_cases: 5,
+            fingerprint: u64::MAX,
+            chunks_done: 4,
+            cells: vec![
+                SoakCell {
+                    key: "cg/stuck/baseline".into(),
+                    cases: 20,
+                    recovered: 18,
+                    due: 2,
+                    sdc: 0,
+                    hang: 0,
+                    hash_chain: u64::MAX - 2,
+                },
+                SoakCell {
+                    key: "is/mem/full".into(),
+                    cases: 15,
+                    recovered: 15,
+                    due: 0,
+                    sdc: 0,
+                    hang: 0,
+                    hash_chain: 0x0123,
+                },
+            ],
+        }
+    }
+
+    /// The cursor's exact bytes, as the hand-written emitter that preceded
+    /// the `Json` writer produced them.
+    const GOLDEN: &str = r#"{
+  "schema": "acr.soak-cursor.v1",
+  "seed": "0xfffffffffffffffe",
+  "chunk_cases": 5,
+  "fingerprint": "0xffffffffffffffff",
+  "chunks_done": 4,
+  "cells": [
+    {"key": "cg/stuck/baseline", "cases": 20, "recovered": 18, "due": 2, "sdc": 0, "hang": 0, "hash_chain": "0xfffffffffffffffd"},
+    {"key": "is/mem/full", "cases": 15, "recovered": 15, "due": 0, "sdc": 0, "hang": 0, "hash_chain": "0x0000000000000123"}
+  ]
+}
+"#;
+
+    #[test]
+    fn json_bytes_are_pinned() {
+        let c = golden_cursor();
+        assert_eq!(c.to_json(), GOLDEN);
+        let doc = parse_json(GOLDEN).unwrap();
+        assert_eq!(doc.hex_field("fingerprint"), Ok(u64::MAX));
+    }
+
+    #[test]
+    fn cursor_round_trips_u64s_at_the_top_of_the_range() {
+        let g = grid();
+        let mut c = SoakCursor::new(&g, u64::MAX, u32::MAX);
+        c.chunks_done = u64::MAX;
+        for (i, cell) in c.cells.iter_mut().enumerate() {
+            cell.cases = (1 << 53) + 1;
+            cell.recovered = u64::MAX - i as u64;
+            cell.hash_chain = u64::MAX - 1 - i as u64;
+        }
+        assert_eq!(SoakCursor::parse(&c.to_json(), &g), Ok(c));
     }
 
     #[test]

@@ -181,7 +181,7 @@ impl LogController {
         LogController {
             bits: vec![0; num_words.div_ceil(64)],
             current: LogEpoch::new(0),
-            completed: VecDeque::with_capacity(retained + 1),
+            completed: VecDeque::new(),
             retained,
             total_logged: 0,
             total_omitted: 0,

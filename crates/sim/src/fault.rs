@@ -142,6 +142,42 @@ pub struct Fault {
     pub kind: FaultKind,
 }
 
+impl Fault {
+    /// Checks every field against the ranges [`FaultPlan::generate`] draws
+    /// from, for `cores` cores and a `mem_bytes`-byte memory image — the
+    /// guard for faults read back from a document instead of planned. The
+    /// error names the first field out of range.
+    pub fn check(&self, cores: u32, mem_bytes: u64) -> Result<(), String> {
+        let (addr, bit, bits) = match self.kind {
+            FaultKind::RegBitFlip { reg, .. } if usize::from(reg) >= NUM_REGS => {
+                return Err(format!("field `reg`: {reg} is not below {NUM_REGS}"));
+            }
+            FaultKind::MemBurst { span, .. } if !(2..=BURST_MAX_SPAN).contains(&span) => {
+                return Err(format!(
+                    "field `span`: {span} is outside 2..={BURST_MAX_SPAN}"
+                ));
+            }
+            FaultKind::RegBitFlip { bit, .. } => (None, bit, 64),
+            FaultKind::PcBitFlip { bit } => (None, bit, PC_FAULT_BITS),
+            FaultKind::MemBitFlip { addr, bit }
+            | FaultKind::MemBurst { addr, bit, .. }
+            | FaultKind::StuckAt { addr, bit, .. } => (Some(addr.byte()), bit, 64),
+            FaultKind::Crash => (None, 0, 1),
+        };
+        match addr {
+            _ if self.core.0 >= cores => Err(format!(
+                "field `core`: {} is not below {cores}",
+                self.core.0
+            )),
+            _ if bit >= bits => Err(format!("field `bit`: {bit} is not below {bits}")),
+            Some(a) if a >= mem_bytes => Err(format!(
+                "field `addr`: {a:#x} is outside the {mem_bytes}-byte memory image"
+            )),
+            _ => Ok(()),
+        }
+    }
+}
+
 /// Which fault kinds a campaign draws from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultKindSet {
@@ -641,6 +677,58 @@ mod tests {
         }
         // With 64 draws over 4 kinds, every kind appears.
         assert_eq!(labels.len(), 4);
+    }
+
+    #[test]
+    fn planned_faults_pass_the_check_and_out_of_range_fields_are_named() {
+        let c = cfg();
+        let mut all = c.clone();
+        all.kinds = FaultKindSet::parse("reg,pc,mem,burst,stuck,crash").unwrap();
+        for f in FaultPlan::generate(&c)
+            .faults
+            .iter()
+            .chain(&FaultPlan::generate(&all).faults)
+        {
+            assert_eq!(f.check(4, 136), Ok(()), "{f:?}");
+        }
+        let at = |kind| Fault {
+            at_progress: 1,
+            core: CoreId(0),
+            kind,
+        };
+        let addr = WordAddr::new(0xffff_ffff_ffff_ff80);
+        for (fault, field) in [
+            (
+                Fault {
+                    core: CoreId(4),
+                    ..at(FaultKind::Crash)
+                },
+                "core",
+            ),
+            (at(FaultKind::RegBitFlip { reg: 200, bit: 0 }), "reg"),
+            (at(FaultKind::RegBitFlip { reg: 0, bit: 64 }), "bit"),
+            (at(FaultKind::PcBitFlip { bit: PC_FAULT_BITS }), "bit"),
+            (at(FaultKind::MemBitFlip { addr, bit: 0 }), "addr"),
+            (
+                at(FaultKind::MemBurst {
+                    addr: WordAddr::new(0),
+                    bit: 0,
+                    span: 1,
+                }),
+                "span",
+            ),
+            (
+                at(FaultKind::StuckAt {
+                    addr,
+                    bit: 0,
+                    stuck_one: true,
+                }),
+                "addr",
+            ),
+        ] {
+            let err = fault.check(4, 136).unwrap_err();
+            assert!(err.starts_with(&format!("field `{field}`")), "{err}");
+        }
     }
 
     #[test]

@@ -2,28 +2,8 @@
 //! Perfetto).
 
 use crate::event::{EventKind, TraceEvent};
+use crate::json::push_json_string;
 use crate::metrics::TimeSeries;
-
-/// Appends `s` to `out` as a JSON string literal (quoted + escaped).
-/// Public so downstream in-tree JSON exporters (postmortem bundles) share
-/// one escaping implementation with the Chrome exporter.
-pub fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
 
 fn push_common(out: &mut String, name: &str, cat: &str, ph: char, cycle: u64, track: u32) {
     out.push_str("{\"name\":");
@@ -111,13 +91,6 @@ pub fn chrome_trace_json(events: &[TraceEvent], series: Option<&TimeSeries>) -> 
 mod tests {
     use super::*;
     use crate::metrics::{MetricsRegistry, Sampler};
-
-    #[test]
-    fn escapes_json_strings() {
-        let mut s = String::new();
-        push_json_string(&mut s, "a\"b\\c\nd\u{1}");
-        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\u0001\"");
-    }
 
     #[test]
     fn renders_span_instant_and_counter() {

@@ -1,18 +1,22 @@
-//! A minimal JSON parser (no external dependencies) plus a Chrome
-//! `trace_event` validator — the round-trip half of the exporter tests and
-//! the CI trace check.
+//! The workspace's one JSON mechanism (no external dependencies): the
+//! [`Json`] value with exact `u64` integers, its parser, its one writer,
+//! the typed field accessors every document reader shares, and a Chrome
+//! `trace_event` validator for the exporter tests and the CI trace check.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
-/// A parsed JSON value.
+/// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number (held as `f64`; every number this repo emits is an
-    /// integer well inside `f64`'s exact range).
+    /// An unsigned integer, held exactly (every integer literal that fits
+    /// a `u64` parses to this variant).
+    Int(u64),
+    /// Any other number: negative, fractional, exponent or beyond `u64`.
     Num(f64),
     /// A string.
     Str(String),
@@ -23,6 +27,22 @@ pub enum Json {
 }
 
 impl Json {
+    /// An object with `members`, in the given order.
+    pub fn obj<'a>(members: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(
+            members
+                .into_iter()
+                .map(|(k, v)| (k.to_owned(), v))
+                .collect(),
+        )
+    }
+
+    /// `v` as a `0x`-prefixed, zero-padded 16-digit hex string — how
+    /// documents carry hashes.
+    pub fn hex(v: u64) -> Json {
+        Json::Str(format!("{v:#018x}"))
+    }
+
     /// Object member lookup (first match).
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -39,6 +59,14 @@ impl Json {
         }
     }
 
+    /// The members, if this is an object.
+    pub(crate) fn as_obj(&self) -> Option<&[(String, Json)]> {
+        match self {
+            Json::Obj(m) => Some(m),
+            _ => None,
+        }
+    }
+
     /// The string value, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -47,23 +75,289 @@ impl Json {
         }
     }
 
-    /// The numeric value, if this is a number.
+    /// The boolean value, if this is a bool.
+    pub(crate) fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// The numeric value, if this is a number (integers convert, and
+    /// above 2^53 round).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Json::Int(n) => Some(*n as f64),
             Json::Num(n) => Some(*n),
             _ => None,
         }
     }
 
-    /// The numeric value as `u64`, if this is a non-negative integer.
+    /// The exact value, if this is an unsigned integer literal.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
+            Json::Int(n) => Some(*n),
             _ => None,
         }
     }
+
+    /// The value of a `0x`-prefixed hex string of 1 to 16 digits.
+    pub(crate) fn as_hex(&self) -> Option<u64> {
+        let digits = self.as_str()?.strip_prefix("0x")?;
+        if digits.is_empty() || digits.len() > 16 || !digits.bytes().all(|b| b.is_ascii_hexdigit())
+        {
+            return None;
+        }
+        u64::from_str_radix(digits, 16).ok()
+    }
+
+    // The typed accessors below return an error naming the field when it
+    // is missing or of the wrong type, so every document reader reports
+    // the same way.
+
+    /// Member `key`.
+    pub(crate) fn field(&self, key: &str) -> Result<&Json, String> {
+        self.get(key)
+            .ok_or_else(|| format!("field `{key}` missing"))
+    }
+
+    fn field_as<'a, T>(
+        &'a self,
+        key: &str,
+        what: &str,
+        read: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<T, String> {
+        read(self.field(key)?).ok_or_else(|| format!("field `{key}` is not {what}"))
+    }
+
+    /// Member `key` as a string.
+    pub fn str_field(&self, key: &str) -> Result<&str, String> {
+        self.field_as(key, "a string", Json::as_str)
+    }
+
+    /// Member `key` as an exact `u64`.
+    pub fn u64_field(&self, key: &str) -> Result<u64, String> {
+        self.field_as(key, "an unsigned integer", Json::as_u64)
+    }
+
+    /// Member `key` as a bool.
+    pub fn bool_field(&self, key: &str) -> Result<bool, String> {
+        self.field_as(key, "a bool", Json::as_bool)
+    }
+
+    /// Member `key` as a `0x`-prefixed hex string of 1 to 16 digits.
+    pub fn hex_field(&self, key: &str) -> Result<u64, String> {
+        self.field_as(key, "a 0x hex string of at most 16 digits", Json::as_hex)
+    }
+
+    /// Member `key` as an array.
+    pub fn arr_field(&self, key: &str) -> Result<&[Json], String> {
+        self.field_as(key, "an array", Json::as_arr)
+    }
+
+    /// The members of object member `key`, each read by `read` (the shape
+    /// of a manifest's `config`, `host` and `sim.hashes`); a bad member is
+    /// named `key.member`.
+    pub(crate) fn members_field<'a, T>(
+        &'a self,
+        key: &str,
+        what: &str,
+        read: impl Fn(&'a Json) -> Option<T>,
+    ) -> Result<Vec<(String, T)>, String> {
+        self.field_as(key, "an object", Json::as_obj)?
+            .iter()
+            .map(|(k, v)| {
+                read(v)
+                    .map(|t| (k.clone(), t))
+                    .ok_or_else(|| format!("field `{key}.{k}` is not {what}"))
+            })
+            .collect()
+    }
+
+    /// Renders the value on one line.
+    pub fn to_inline(&self, style: JsonStyle) -> String {
+        let mut w = Writer {
+            out: String::new(),
+            style,
+            list_keys: &[],
+        };
+        w.value(self, 0);
+        w.out
+    }
+
+    /// Renders the value as a document with a trailing newline. A
+    /// top-level object prints one member per line; an array under one of
+    /// `list_keys` (at any depth) prints one element per line, indented
+    /// one level deeper than the line holding its key; every other value
+    /// prints inline.
+    pub fn to_document(&self, style: JsonStyle, list_keys: &[&str]) -> String {
+        let mut w = Writer {
+            out: String::new(),
+            style,
+            list_keys,
+        };
+        match self {
+            Json::Obj(members) => {
+                w.out.push('{');
+                for (i, (k, v)) in members.iter().enumerate() {
+                    if i > 0 {
+                        w.out.push(',');
+                    }
+                    w.newline(1);
+                    w.member(k, v, 1);
+                }
+                w.newline(0);
+                w.out.push('}');
+            }
+            other => w.value(other, 0),
+        }
+        w.out.push('\n');
+        w.out
+    }
+}
+
+macro_rules! json_from_uint {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(v: $t) -> Json {
+                Json::Int(v as u64)
+            }
+        }
+    )*};
+}
+json_from_uint!(u8, u32, u64, usize);
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_owned())
+    }
+}
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+/// The separator style of the writer.
+#[derive(Debug, Clone, Copy)]
+pub struct JsonStyle {
+    comma: &'static str,
+    colon: &'static str,
+    indent: &'static str,
+}
+
+impl JsonStyle {
+    /// `,` and `:`, top-level members unindented (run manifests).
+    pub const COMPACT: JsonStyle = JsonStyle {
+        comma: ",",
+        colon: ":",
+        indent: "",
+    };
+    /// `, ` and `: `, two-space indentation (postmortem bundles, soak
+    /// cursors, repro documents).
+    pub const SPACED: JsonStyle = JsonStyle {
+        comma: ", ",
+        colon: ": ",
+        indent: "  ",
+    };
+}
+
+struct Writer<'a> {
+    out: String,
+    style: JsonStyle,
+    list_keys: &'a [&'a str],
+}
+
+impl Writer<'_> {
+    fn newline(&mut self, depth: usize) {
+        self.out.push('\n');
+        for _ in 0..depth {
+            self.out.push_str(self.style.indent);
+        }
+    }
+
+    /// Writes `v`; `depth` is the indentation level of the current line.
+    fn value(&mut self, v: &Json, depth: usize) {
+        match v {
+            Json::Null => self.out.push_str("null"),
+            Json::Bool(b) => self.out.push_str(if *b { "true" } else { "false" }),
+            Json::Int(n) => {
+                let _ = write!(self.out, "{n}");
+            }
+            Json::Num(x) if x.is_finite() => {
+                let _ = write!(self.out, "{x}");
+            }
+            Json::Num(_) => self.out.push_str("null"),
+            Json::Str(s) => push_json_string(&mut self.out, s),
+            Json::Arr(items) => {
+                self.out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        self.out.push_str(self.style.comma);
+                    }
+                    self.value(item, depth);
+                }
+                self.out.push(']');
+            }
+            Json::Obj(members) => {
+                self.out.push('{');
+                for (i, (k, v)) in members.iter().enumerate() {
+                    if i > 0 {
+                        self.out.push_str(self.style.comma);
+                    }
+                    self.member(k, v, depth);
+                }
+                self.out.push('}');
+            }
+        }
+    }
+
+    fn member(&mut self, key: &str, v: &Json, depth: usize) {
+        push_json_string(&mut self.out, key);
+        self.out.push_str(self.style.colon);
+        match v {
+            Json::Arr(items) if !items.is_empty() && self.list_keys.contains(&key) => {
+                self.out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        self.out.push(',');
+                    }
+                    self.newline(depth + 1);
+                    self.value(item, depth + 1);
+                }
+                self.newline(depth);
+                self.out.push(']');
+            }
+            _ => self.value(v, depth),
+        }
+    }
+}
+
+/// Appends `s` to `out` as a JSON string literal (quoted and escaped) —
+/// the one escaping routine, shared with the streaming exporters.
+pub(crate) fn push_json_string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Maximum nesting depth accepted (defence against pathological input; the
@@ -71,6 +365,7 @@ impl Json {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -213,15 +508,16 @@ impl<'a> Parser<'a> {
                             self.pos += 1;
                             let hi = self.hex4()?;
                             let cp = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: require \uXXXX low half.
-                                if self.peek() == Some(b'\\') {
-                                    self.pos += 1;
-                                    self.expect(b'u')?;
-                                    let lo = self.hex4()?;
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                                } else {
+                                // Surrogate pair: require a \uXXXX low half.
+                                if !self.bytes[self.pos..].starts_with(b"\\u") {
                                     return Err(self.err("lone surrogate"));
                                 }
+                                self.pos += 2;
+                                let lo = self.hex4()?;
+                                if !(0xDC00..0xE000).contains(&lo) {
+                                    return Err(self.err("lone surrogate"));
+                                }
+                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
                             } else {
                                 hi
                             };
@@ -233,13 +529,13 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash. Both
+                    // are ASCII, so the run ends on a char boundary.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -256,7 +552,12 @@ impl<'a> Parser<'a> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        // An all-digit literal that fits is an exact `Int`; a sign,
+        // fraction, exponent or overflow makes it a `Num`.
+        let text = &self.text[start..self.pos];
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(Json::Int(n));
+        }
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("bad number"))
@@ -271,6 +572,7 @@ impl<'a> Parser<'a> {
 /// syntax error.
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -424,6 +726,102 @@ mod tests {
         assert!(parse_json(r#""\u12g4""#).is_err(), "non-hex \\u digit");
         assert!(parse_json(r#""\ud800""#).is_err(), "lone high surrogate");
         assert!(parse_json("\"\\").is_err(), "escape at end of input");
+    }
+
+    #[test]
+    fn high_surrogate_without_a_low_half_is_a_lone_surrogate() {
+        // A high half followed by a non-low escape used to compute
+        // `lo - 0xDC00` and overflow.
+        for text in [
+            r#""\ud800\u0041""#,
+            r#""\ud800\ud800""#,
+            r#""\ud800A""#,
+            r#""\ud800\n""#,
+        ] {
+            let err = parse_json(text).unwrap_err();
+            assert!(err.contains("lone surrogate"), "{text}: {err}");
+        }
+        assert!(parse_json(r#""\udc00""#).is_err(), "lone low surrogate");
+    }
+
+    #[test]
+    fn integers_are_exact_across_the_u64_range() {
+        for n in [0, 1, (1u64 << 53) + 1, u64::MAX - 1, u64::MAX] {
+            let v = parse_json(&n.to_string()).unwrap();
+            assert_eq!(v, Json::Int(n));
+            assert_eq!(v.as_u64(), Some(n));
+        }
+        // Beyond u64, negative, fractional and exponent literals are
+        // `Num`, and none of them reads as a u64.
+        for text in ["18446744073709551616", "-1", "2.5", "1e3"] {
+            let v = parse_json(text).unwrap();
+            assert!(matches!(v, Json::Num(_)), "{text}");
+            assert_eq!(v.as_u64(), None, "{text}");
+        }
+        assert_eq!(parse_json("-2.5").unwrap().as_f64(), Some(-2.5));
+    }
+
+    #[test]
+    fn typed_accessors_name_the_field() {
+        let v = parse_json(
+            r#"{"s":"x","n":18446744073709551615,"b":true,"h":"0xffffffffffffffff",
+                "bad_hex":"ff","long_hex":"0x10000000000000000","m":{"a":1,"b":"2"}}"#,
+        )
+        .unwrap();
+        assert_eq!(v.str_field("s"), Ok("x"));
+        assert_eq!(v.u64_field("n"), Ok(u64::MAX));
+        assert_eq!(v.bool_field("b"), Ok(true));
+        assert_eq!(v.hex_field("h"), Ok(u64::MAX));
+        assert_eq!(v.u64_field("zz").unwrap_err(), "field `zz` missing");
+        assert_eq!(
+            v.u64_field("s").unwrap_err(),
+            "field `s` is not an unsigned integer"
+        );
+        assert!(v.hex_field("bad_hex").unwrap_err().contains("`bad_hex`"));
+        assert!(v.hex_field("long_hex").unwrap_err().contains("`long_hex`"));
+        assert_eq!(
+            v.members_field("m", "an unsigned integer", Json::as_u64)
+                .unwrap_err(),
+            "field `m.b` is not an unsigned integer"
+        );
+    }
+
+    #[test]
+    fn escapes_json_strings() {
+        let mut s = String::new();
+        push_json_string(&mut s, "a\"b\\c\nd\u{1}\u{7f}é");
+        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\u0001\u{7f}é\"");
+    }
+
+    #[test]
+    fn writer_styles_and_layout() {
+        let doc = Json::obj([
+            ("n", u64::MAX.into()),
+            (
+                "list",
+                Json::Arr(vec![Json::obj([("k", true.into())]), Json::Null]),
+            ),
+            ("empty", Json::Arr(vec![])),
+            ("inline", Json::Arr(vec![1u32.into(), "two".into()])),
+            ("x", Json::Num(-2.5)),
+        ]);
+        assert_eq!(
+            doc.to_inline(JsonStyle::COMPACT),
+            r#"{"n":18446744073709551615,"list":[{"k":true},null],"empty":[],"inline":[1,"two"],"x":-2.5}"#
+        );
+        assert_eq!(
+            doc.to_document(JsonStyle::SPACED, &["list", "empty"]),
+            "{\n  \"n\": 18446744073709551615,\n  \"list\": [\n    {\"k\": true},\n    null\n  ],\n  \
+             \"empty\": [],\n  \"inline\": [1, \"two\"],\n  \"x\": -2.5\n}\n"
+        );
+        // What the writer prints, the parser reads back as the same value.
+        for style in [JsonStyle::COMPACT, JsonStyle::SPACED] {
+            assert_eq!(parse_json(&doc.to_inline(style)), Ok(doc.clone()));
+            assert_eq!(
+                parse_json(&doc.to_document(style, &["list"])),
+                Ok(doc.clone())
+            );
+        }
     }
 
     #[test]

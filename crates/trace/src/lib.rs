@@ -65,13 +65,13 @@ mod metrics;
 mod perf;
 mod recorder;
 
-pub use chrome::{chrome_trace_json, push_json_string};
+pub use chrome::chrome_trace_json;
 pub use event::{
     EventKind, MemorySink, SharedSink, TraceEvent, TraceSink, MAX_ARGS, TRACK_ENGINE, TRACK_MEM,
 };
 pub use hash::{fnv1a, Fnv1a, FNV_OFFSET, FNV_PRIME};
 pub use hist::{Histogram, NUM_BUCKETS, SUB_BITS};
-pub use json::{parse_json, validate_chrome_trace, ChromeSummary, Json};
+pub use json::{parse_json, validate_chrome_trace, ChromeSummary, Json, JsonStyle};
 pub use manifest::{
     diff_manifests, median, BenchStats, DiffOptions, DiffReport, Manifest, MANIFEST_SCHEMA,
 };

@@ -17,14 +17,12 @@
 //! * `bench` — optional repetition statistics when the manifest came from
 //!   `acr_cli bench` (median / MAD / min over reps).
 //!
-//! Serialisation uses this crate's own JSON exporter conventions and
-//! [`crate::parse_json`] for the reverse direction — no external
-//! dependencies. Hash values are rendered as `0x…` hex *strings*, not JSON
-//! numbers, because a `u64` hash does not survive the round trip through
-//! an `f64` intact.
+//! The document is a [`Json`] value rendered in the compact style and read
+//! back through [`crate::parse_json`] and the typed field accessors — no
+//! external dependencies. Hash values are `0x…` hex *strings*, the
+//! convention every document in the workspace shares for hashes.
 
-use crate::chrome::push_json_string;
-use crate::json::{parse_json, Json};
+use crate::json::{parse_json, Json, JsonStyle};
 use crate::perf::WorkerLoad;
 
 /// Manifest schema identifier (bump on breaking layout changes).
@@ -105,81 +103,55 @@ pub struct Manifest {
     pub bench: Option<BenchStats>,
 }
 
-fn push_hex(out: &mut String, v: u64) {
-    out.push_str(&format!("\"{v:#018x}\""));
-}
-
 impl Manifest {
+    fn sim_value(&self) -> Json {
+        let hashes = self
+            .sim_hashes
+            .iter()
+            .map(|(k, v)| (k.as_str(), Json::hex(*v)));
+        Json::obj([
+            ("hashes", Json::obj(hashes)),
+            ("metrics_digest", Json::hex(self.metrics_digest)),
+        ])
+    }
+
     /// The sim-deterministic section as JSON — the exact bytes embedded in
     /// [`Manifest::to_json`], exposed separately so tests and CI can
     /// assert byte-identity across invocations and `--jobs` values.
     pub fn sim_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\"hashes\":{");
-        for (i, (k, v)) in self.sim_hashes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_string(&mut out, k);
-            out.push(':');
-            push_hex(&mut out, *v);
-        }
-        out.push_str("},\"metrics_digest\":");
-        push_hex(&mut out, self.metrics_digest);
-        out.push('}');
-        out
+        self.sim_value().to_inline(JsonStyle::COMPACT)
     }
 
     /// Renders the manifest as a JSON document (one top-level section per
     /// line; deterministic given identical contents).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n\"schema\":");
-        push_json_string(&mut out, MANIFEST_SCHEMA);
-        out.push_str(",\n\"command\":");
-        push_json_string(&mut out, &self.command);
-        out.push_str(",\n\"config\":{");
-        for (i, (k, v)) in self.config.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_string(&mut out, k);
-            out.push(':');
-            push_json_string(&mut out, v);
-        }
-        out.push_str("},\n\"sim\":");
-        out.push_str(&self.sim_json());
-        out.push_str(",\n\"host\":{");
-        for (i, (k, v)) in self.host.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_string(&mut out, k);
-            out.push(':');
-            out.push_str(&v.to_string());
-        }
-        out.push('}');
+        let config = self
+            .config
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_str().into()));
+        let host = self.host.iter().map(|(k, v)| (k.as_str(), (*v).into()));
+        let mut members = vec![
+            ("schema", MANIFEST_SCHEMA.into()),
+            ("command", self.command.as_str().into()),
+            ("config", Json::obj(config)),
+            ("sim", self.sim_value()),
+            ("host", Json::obj(host)),
+        ];
         if let Some(b) = &self.bench {
-            out.push_str(",\n\"bench\":{\"reps\":");
-            out.push_str(&b.reps().to_string());
-            out.push_str(",\"warmup\":");
-            out.push_str(&b.warmup.to_string());
-            out.push_str(",\"wall_ns\":[");
-            for (i, ns) in b.wall_ns.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&ns.to_string());
-            }
-            out.push_str("],\"median_ns\":");
-            out.push_str(&b.median_ns.to_string());
-            out.push_str(",\"mad_ns\":");
-            out.push_str(&b.mad_ns.to_string());
-            out.push_str(",\"min_ns\":");
-            out.push_str(&b.min_ns.to_string());
-            out.push('}');
+            let wall_ns = b.wall_ns.iter().map(|&ns| ns.into()).collect();
+            members.push((
+                "bench",
+                Json::obj([
+                    ("reps", b.reps().into()),
+                    ("warmup", b.warmup.into()),
+                    ("wall_ns", Json::Arr(wall_ns)),
+                    ("median_ns", b.median_ns.into()),
+                    ("mad_ns", b.mad_ns.into()),
+                    ("min_ns", b.min_ns.into()),
+                ]),
+            ));
         }
-        out.push_str("\n}\n");
-        out
+        Json::obj(members).to_document(JsonStyle::COMPACT, &[])
     }
 
     /// Parses a manifest produced by [`Manifest::to_json`] (key order is
@@ -189,67 +161,40 @@ impl Manifest {
     ///
     /// Returns a message naming the first missing or malformed field.
     pub fn parse(text: &str) -> Result<Manifest, String> {
-        let doc = parse_json(text)?;
-        let schema = doc
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or("manifest: missing `schema`")?;
+        Self::from_json(&parse_json(text)?).map_err(|e| format!("manifest: {e}"))
+    }
+
+    fn from_json(doc: &Json) -> Result<Manifest, String> {
+        let schema = doc.str_field("schema")?;
         if schema != MANIFEST_SCHEMA {
             return Err(format!(
-                "manifest: unsupported schema `{schema}` (want `{MANIFEST_SCHEMA}`)"
+                "unsupported schema `{schema}` (want `{MANIFEST_SCHEMA}`)"
             ));
         }
-        let command = doc
-            .get("command")
-            .and_then(Json::as_str)
-            .ok_or("manifest: missing `command`")?
-            .to_owned();
-        let config = str_pairs(doc.get("config").ok_or("manifest: missing `config`")?)?;
-        let sim = doc.get("sim").ok_or("manifest: missing `sim`")?;
-        let mut sim_hashes = Vec::new();
-        if let Some(Json::Obj(members)) = sim.get("hashes") {
-            for (k, v) in members {
-                sim_hashes.push((k.clone(), parse_hex(k, v)?));
-            }
-        } else {
-            return Err("manifest: missing `sim.hashes`".into());
-        }
-        let metrics_digest = parse_hex(
-            "metrics_digest",
-            sim.get("metrics_digest")
-                .ok_or("manifest: missing `sim.metrics_digest`")?,
-        )?;
-        let host = u64_pairs(doc.get("host").ok_or("manifest: missing `host`")?)?;
+        let sim = doc.field("sim")?;
         let bench = match doc.get("bench") {
             None => None,
-            Some(b) => {
-                let field = |k: &str| -> Result<u64, String> {
-                    b.get(k)
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| format!("manifest: missing `bench.{k}`"))
-                };
-                let wall_ns = b
-                    .get("wall_ns")
-                    .and_then(Json::as_arr)
-                    .ok_or("manifest: missing `bench.wall_ns`")?
+            Some(b) => Some(BenchStats {
+                warmup: b.u64_field("warmup")?,
+                wall_ns: b
+                    .arr_field("wall_ns")?
                     .iter()
-                    .map(|v| v.as_u64().ok_or("manifest: bad `bench.wall_ns` entry"))
-                    .collect::<Result<Vec<u64>, _>>()?;
-                Some(BenchStats {
-                    warmup: field("warmup")?,
-                    wall_ns,
-                    median_ns: field("median_ns")?,
-                    mad_ns: field("mad_ns")?,
-                    min_ns: field("min_ns")?,
-                })
-            }
+                    .map(|v| {
+                        v.as_u64()
+                            .ok_or("field `bench.wall_ns` holds a non-integer")
+                    })
+                    .collect::<Result<_, _>>()?,
+                median_ns: b.u64_field("median_ns")?,
+                mad_ns: b.u64_field("mad_ns")?,
+                min_ns: b.u64_field("min_ns")?,
+            }),
         };
         Ok(Manifest {
-            command,
-            config,
-            sim_hashes,
-            metrics_digest,
-            host,
+            command: doc.str_field("command")?.to_owned(),
+            config: doc.members_field("config", "a string", |v| v.as_str().map(str::to_owned))?,
+            sim_hashes: sim.members_field("hashes", "a 0x hex string", Json::as_hex)?,
+            metrics_digest: sim.hex_field("metrics_digest")?,
+            host: doc.members_field("host", "an unsigned integer", Json::as_u64)?,
             bench,
         })
     }
@@ -278,42 +223,6 @@ impl Manifest {
         }
         out
     }
-}
-
-fn str_pairs(v: &Json) -> Result<Vec<(String, String)>, String> {
-    match v {
-        Json::Obj(members) => members
-            .iter()
-            .map(|(k, v)| {
-                v.as_str()
-                    .map(|s| (k.clone(), s.to_owned()))
-                    .ok_or_else(|| format!("manifest: `{k}` must be a string"))
-            })
-            .collect(),
-        _ => Err("manifest: expected an object of strings".into()),
-    }
-}
-
-fn u64_pairs(v: &Json) -> Result<Vec<(String, u64)>, String> {
-    match v {
-        Json::Obj(members) => members
-            .iter()
-            .map(|(k, v)| {
-                v.as_u64()
-                    .map(|n| (k.clone(), n))
-                    .ok_or_else(|| format!("manifest: `{k}` must be a non-negative integer"))
-            })
-            .collect(),
-        _ => Err("manifest: expected an object of integers".into()),
-    }
-}
-
-fn parse_hex(key: &str, v: &Json) -> Result<u64, String> {
-    let s = v
-        .as_str()
-        .ok_or_else(|| format!("manifest: hash `{key}` must be a hex string"))?;
-    u64::from_str_radix(s.trim_start_matches("0x"), 16)
-        .map_err(|e| format!("manifest: hash `{key}`: {e}"))
 }
 
 /// How [`diff_manifests`] compares two manifests.
@@ -588,6 +497,23 @@ mod tests {
         assert_eq!(back, m);
         // Render → parse → render is a fixed point.
         assert_eq!(back.to_json(), json);
+    }
+
+    /// The document's exact bytes, as the hand-written emitter that
+    /// preceded the `Json` writer produced them.
+    const GOLDEN: &str = r#"{
+"schema":"acr-manifest-v1",
+"command":"bench",
+"config":{"seed":"42","faults":"200"},
+"sim":{"hashes":{"is":"0x06521c827f174fec","combined":"0xbc40ca2ec6d2d9bd"},"metrics_digest":"0xdeadbeefcafef00d"},
+"host":{"host.wall_ns":1000000,"host.tput.cycles_per_sec":30000000,"host.rss.peak_bytes":10485760},
+"bench":{"reps":3,"warmup":1,"wall_ns":[90,100,110],"median_ns":100,"mad_ns":10,"min_ns":90}
+}
+"#;
+
+    #[test]
+    fn json_bytes_are_pinned() {
+        assert_eq!(sample().to_json(), GOLDEN);
     }
 
     #[test]

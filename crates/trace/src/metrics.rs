@@ -2,9 +2,9 @@
 
 use std::collections::BTreeMap;
 
-use crate::chrome::push_json_string;
 use crate::hash::Fnv1a;
 use crate::hist::Histogram;
+use crate::json::push_json_string;
 
 /// A flat registry of named `u64` counters/gauges behind hierarchical
 /// dot-separated keys (`core.0.retired`, `ckpt.records`, `mem.l1d.hits`,

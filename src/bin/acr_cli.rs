@@ -34,16 +34,17 @@ use acr::{
     ExperimentError, ExperimentSpec, FaultedSweepItem, RunResult,
 };
 use acr_ckpt::{
-    default_models, default_resilience, fault_from_json, fault_to_json, run_soak, CampaignConfig,
-    CampaignError, CaseOutcome, CkptError, OmitReason, ParallelRunner, Scheme, SecondaryStorage,
-    ShrinkConfig, SoakCursor, SoakGrid, SoakModel, SoakResilience, POSTMORTEM_SCHEMA, REPRO_SCHEMA,
+    default_models, default_resilience, fault_from_json, fault_to_json, fault_value, run_soak,
+    CampaignConfig, CampaignError, CaseOutcome, CkptError, OmitReason, ParallelRunner, Scheme,
+    SecondaryStorage, ShrinkConfig, ShrinkOutcome, SoakCursor, SoakGrid, SoakModel, SoakResilience,
+    POSTMORTEM_SCHEMA, REPRO_SCHEMA,
 };
 use acr_isa::Program;
 use acr_mem::{CoreId, MAX_CORES};
 use acr_sim::{Fault, FaultKind, FaultKindSet, FaultStorm};
 use acr_trace::{
     chrome_trace_json, diff_manifests, fnv1a, merge_loads, parse_json, BenchStats, DiffOptions,
-    Fnv1a, HostPerf, Json, Manifest, MetricsRegistry, Stopwatch, TraceEvent, WorkerLoad,
+    Fnv1a, HostPerf, Json, JsonStyle, Manifest, MetricsRegistry, Stopwatch, TraceEvent, WorkerLoad,
     TRACK_ENGINE,
 };
 use acr_workloads::{generate, Benchmark, WorkloadConfig};
@@ -1266,101 +1267,102 @@ fn soak(a: CliArgs) -> Result<ExitCode, String> {
 
 /// The `acr.repro.v1` document: everything `--replay` needs to rebuild
 /// the exact engine configuration, plus the minimal fault plan. Fractions
-/// are serialized as strings (the JSON layer is `f64`-backed and the
-/// round-trip must be exact); big `u64`s as hex strings.
-fn repro_doc(a: &CliArgs, workload: Benchmark, out: &acr_ckpt::ShrinkOutcome) -> String {
-    let mut o = String::from("{\n  \"schema\": ");
-    acr_trace::push_json_string(&mut o, REPRO_SCHEMA);
-    let _ = write!(o, ",\n  \"workload\": \"{}\"", workload.name());
-    let _ = write!(o, ",\n  \"case\": {}", a.case);
-    let _ = write!(o, ",\n  \"seed\": \"{:#x}\"", a.seed);
-    let _ = write!(o, ",\n  \"threads\": {}", a.threads);
-    let _ = write!(o, ",\n  \"scale\": \"{}\"", a.scale);
-    let _ = write!(o, ",\n  \"checkpoints\": {}", a.checkpoints);
-    let _ = write!(o, ",\n  \"latency\": \"{}\"", a.latency);
-    let _ = write!(o, ",\n  \"policy\": \"{}\"", a.policy());
-    let _ = write!(o, ",\n  \"recovery_faults\": {}", a.recovery_faults);
-    let _ = write!(o, ",\n  \"generations\": {}", a.generations);
-    let _ = write!(o, ",\n  \"watchdog_budget\": {}", a.watchdog_budget);
-    let _ = write!(o, ",\n  \"trigger\": \"{}\"", out.failure.trigger);
-    o.push_str(",\n  \"probable_cause\": ");
-    acr_trace::push_json_string(&mut o, &out.failure.bundle.probable_cause);
-    let _ = write!(o, ",\n  \"original_faults\": {}", out.original_faults);
-    o.push_str(",\n  \"faults\": [");
-    for (i, f) in out.minimal.iter().enumerate() {
-        o.push_str(if i == 0 { "\n    " } else { ",\n    " });
-        o.push_str(&fault_to_json(f));
+/// are strings (their `Display` text parses back exactly); the seed is a
+/// hex string.
+fn repro_doc(a: &CliArgs, workload: Benchmark, out: &ShrinkOutcome) -> String {
+    let faults = out.minimal.iter().map(fault_value).collect();
+    Json::obj([
+        ("schema", REPRO_SCHEMA.into()),
+        ("workload", workload.name().into()),
+        ("case", a.case.into()),
+        ("seed", Json::Str(format!("{:#x}", a.seed))),
+        ("threads", a.threads.into()),
+        ("scale", Json::Str(a.scale.to_string())),
+        ("checkpoints", a.checkpoints.into()),
+        ("latency", Json::Str(a.latency.to_string())),
+        ("policy", a.policy().into()),
+        ("recovery_faults", a.recovery_faults.into()),
+        ("generations", a.generations.into()),
+        ("watchdog_budget", a.watchdog_budget.into()),
+        ("trigger", out.failure.trigger.into()),
+        (
+            "probable_cause",
+            out.failure.bundle.probable_cause.as_str().into(),
+        ),
+        ("original_faults", out.original_faults.into()),
+        ("faults", Json::Arr(faults)),
+    ])
+    .to_document(JsonStyle::SPACED, &["faults"])
+}
+
+/// Reads an `acr.repro.v1` document back into the arguments `shrink` ran
+/// with, its workload and its minimal plan.
+fn repro_from_json(j: &Json) -> Result<(CliArgs, Benchmark, Vec<Fault>), String> {
+    let schema = jstr(j, "schema");
+    if schema != REPRO_SCHEMA {
+        return Err(format!(
+            "unknown repro schema `{schema}` (expected {REPRO_SCHEMA})"
+        ));
     }
-    o.push_str("\n  ]\n}\n");
-    o
+    let name = j.str_field("workload")?;
+    let workload =
+        Benchmark::from_name(name).ok_or_else(|| format!("unknown workload `{name}`"))?;
+    let threads = j.u64_field("threads")?;
+    if !(1..=u64::from(MAX_CORES)).contains(&threads) {
+        return Err(format!("field `threads` outside 1..={MAX_CORES}"));
+    }
+    let fraction = |key: &str, parse: fn(&str) -> Result<f64, String>| {
+        parse(j.str_field(key)?).map_err(|e| format!("field `{key}`: {e}"))
+    };
+    let small = |key: &str| -> Result<u32, String> {
+        let v = j.u64_field(key)?;
+        u32::try_from(v).map_err(|_| format!("field `{key}`: {v} is out of range"))
+    };
+    let faults = j
+        .arr_field("faults")?
+        .iter()
+        .enumerate()
+        .map(|(i, f)| fault_from_json(f).map_err(|e| format!("faults[{i}]: {e}")))
+        .collect::<Result<Vec<Fault>, String>>()?;
+    let a = CliArgs {
+        seed: j.hex_field("seed")?,
+        faults: faults.len().max(1) as u32,
+        threads: threads as u32,
+        scale: fraction("scale", scale)?,
+        checkpoints: small("checkpoints")?,
+        latency: fraction("latency", latency)?,
+        amnesic: j.str_field("policy")? == "acr",
+        recovery_faults: j.bool_field("recovery_faults")?,
+        generations: small("generations")?.max(1),
+        watchdog_budget: j.u64_field("watchdog_budget")?,
+        case: j.u64_field("case")? as usize,
+        ..CliArgs::default()
+    };
+    Ok((a, workload, faults))
 }
 
 /// Re-runs a repro document's minimal plan exactly once: exit 1 when the
 /// failure reproduces (same-signature triage can proceed), 0 when it no
-/// longer fails (the repro is stale).
+/// longer fails (the repro is stale). A field `shrink` could not have
+/// written is an error before anything runs.
 fn shrink_replay(path: &str) -> Result<ExitCode, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let j = parse_json(&text).map_err(|e| format!("{path}: {e}"))?;
-    let schema = jstr(&j, "schema");
-    if schema != REPRO_SCHEMA {
-        return Err(format!(
-            "{path}: unknown repro schema `{schema}` (expected {REPRO_SCHEMA})"
-        ));
+    let (a, workload, faults) = repro_from_json(&j).map_err(|e| format!("{path}: {e}"))?;
+    let mut exp = a.experiment(workload)?;
+    let mem_bytes = exp.program().mem_bytes();
+    for (i, f) in faults.iter().enumerate() {
+        f.check(a.threads, mem_bytes)
+            .map_err(|e| format!("{path}: faults[{i}]: {e}"))?;
     }
-    let workload = Benchmark::from_name(jstr(&j, "workload"))
-        .ok_or_else(|| format!("{path}: unknown workload `{}`", jstr(&j, "workload")))?;
-    let frac = |key: &str| -> Result<f64, String> {
-        jstr(&j, key)
-            .parse()
-            .map_err(|e| format!("{path}: field `{key}`: {e}"))
-    };
-    let seed = u64::from_str_radix(jstr(&j, "seed").trim_start_matches("0x"), 16)
-        .map_err(|e| format!("{path}: field `seed`: {e}"))?;
-    let faults = j
-        .get("faults")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{path}: field `faults` missing"))?
-        .iter()
-        .map(fault_from_json)
-        .collect::<Result<Vec<Fault>, String>>()
-        .map_err(|e| format!("{path}: {e}"))?;
-    // `jnum` reads absent fields as 0, so a truncated document would
-    // otherwise ask for a zero-thread experiment (rejected far less
-    // legibly downstream).
-    let threads = jnum(&j, "threads");
-    if !(1..=u64::from(MAX_CORES)).contains(&threads) {
-        return Err(format!(
-            "{path}: field `threads` missing or outside 1..={MAX_CORES} (a \
-             repro document describes one thread per core)"
-        ));
-    }
-    let case = jnum(&j, "case") as usize;
-    let cfg = CampaignConfig {
-        seed,
-        count: faults.len().max(1) as u32,
-        num_checkpoints: jnum(&j, "checkpoints") as u32,
-        detection_latency_frac: frac("latency")?,
-        recovery_faults: jbool(&j, "recovery_faults"),
-        generations: (jnum(&j, "generations") as u32).max(1),
-        watchdog_budget_cycles: jnum(&j, "watchdog_budget"),
-        jobs: 1,
-        ..CampaignConfig::default()
-    };
-    let amnesic = jstr(&j, "policy") == "acr";
-    let recorded = CliArgs {
-        threads: threads as u32,
-        scale: scale(jstr(&j, "scale")).map_err(|e| format!("{path}: field `scale`: {e}"))?,
-        ..CliArgs::default()
-    };
-    let mut exp = recorded.experiment(workload)?;
     println!(
         "== replay: {} case {:04}, {} fault(s) ==",
         workload.name(),
-        case,
+        a.case,
         faults.len()
     );
     match exp
-        .replay_fault_case(&cfg, amnesic, case, &faults)
+        .replay_fault_case(&a.campaign(), a.amnesic, a.case, &faults)
         .map_err(|e| e.to_string())?
     {
         Some(failure) => {
@@ -2021,17 +2023,12 @@ fn diff(a: CliArgs, paths: &[String]) -> Result<ExitCode, String> {
 /// Object member as a string (`"?"` for absent or mistyped keys — the
 /// renderer degrades instead of erroring on a hand-edited bundle).
 fn jstr<'a>(j: &'a Json, key: &str) -> &'a str {
-    j.get(key).and_then(Json::as_str).unwrap_or("?")
+    j.str_field(key).unwrap_or("?")
 }
 
-/// Object member as an unsigned integer (0 when absent).
+/// Object member as an unsigned integer (0 when absent or mistyped).
 fn jnum(j: &Json, key: &str) -> u64 {
-    j.get(key).and_then(Json::as_u64).unwrap_or(0)
-}
-
-/// Object member as a bool (false when absent).
-fn jbool(j: &Json, key: &str) -> bool {
-    matches!(j.get(key), Some(Json::Bool(true)))
+    j.u64_field(key).unwrap_or(0)
 }
 
 /// Merged flight-recorder timeline lines. Within-ring order is already
@@ -2193,7 +2190,7 @@ fn explain(operands: &[String]) -> Result<ExitCode, String> {
                 jnum(s, "safe_epoch"),
                 jnum(s, "replay_retries"),
                 jnum(s, "generation_fallbacks"),
-                jbool(s, "degraded_entered")
+                s.bool_field("degraded_entered").unwrap_or(false)
             );
         }
     }
@@ -2461,5 +2458,124 @@ mod tests {
                 assert!(!names[..i].contains(name), "{} repeats {name}", sub.name);
             }
         }
+    }
+
+    /// A two-fault repro document's exact bytes, as the hand-written
+    /// emitter that preceded the `Json` writer produced them.
+    const GOLDEN_REPRO: &str = r#"{
+  "schema": "acr.repro.v1",
+  "workload": "cg",
+  "case": 3,
+  "seed": "0xdeadbeef",
+  "threads": 2,
+  "scale": "0.05",
+  "checkpoints": 4,
+  "latency": "0.25",
+  "policy": "acr",
+  "recovery_faults": true,
+  "generations": 3,
+  "watchdog_budget": 400000,
+  "trigger": "divergence",
+  "probable_cause": "mem fault (\"0x80b0\") planned at progress 1 -> divergence",
+  "original_faults": 10,
+  "faults": [
+    {"at": 1, "core": 0, "kind": "mem", "addr": "0x80", "bit": 0},
+    {"at": 1234, "core": 1, "kind": "stuck", "addr": "0x1f8", "bit": 63, "stuck_one": true}
+  ]
+}
+"#;
+
+    #[test]
+    fn repro_doc_bytes_are_pinned() {
+        use acr_mem::WordAddr;
+        let a = CliArgs {
+            seed: 0xdead_beef,
+            case: 3,
+            threads: 2,
+            scale: 0.05,
+            checkpoints: 4,
+            latency: 0.25,
+            recovery_faults: true,
+            generations: 3,
+            watchdog_budget: 400_000,
+            ..CliArgs::default()
+        };
+        let faults = [
+            Fault {
+                at_progress: 1,
+                core: CoreId(0),
+                kind: FaultKind::MemBitFlip {
+                    addr: WordAddr::new(0x80),
+                    bit: 0,
+                },
+            },
+            Fault {
+                at_progress: 1234,
+                core: CoreId(1),
+                kind: FaultKind::StuckAt {
+                    addr: WordAddr::new(0x1f8),
+                    bit: 63,
+                    stuck_one: true,
+                },
+            },
+        ];
+        let record = acr_ckpt::FaultCaseRecord {
+            case: 3,
+            fault: faults[0],
+            recoveries: 1,
+            exception_detections: 0,
+            shadow_divergence: 0,
+            mem_divergence: 2,
+            reg_divergence: 0,
+            final_retired: 1000,
+            restored_records: 10,
+            recomputed_values: 0,
+            recompute_alu_ops: 0,
+            recovery_stall_cycles: 40,
+            waste_cycles: 80,
+            cycles: 4000,
+            landing_cycle: 2000,
+            recovery_fault: None,
+            replay_retries: 0,
+            generation_fallbacks: 0,
+            degraded_entries: 0,
+            hung: false,
+            outcome: CaseOutcome::Diverged,
+        };
+        let report = acr_ckpt::BerReport::default();
+        let mut bundle = acr_ckpt::PostmortemBundle::capture(
+            "divergence",
+            42,
+            &record,
+            &report,
+            &[0],
+            (0, 0),
+            None,
+            None,
+        );
+        bundle.probable_cause = "mem fault (\"0x80b0\") planned at progress 1 -> divergence".into();
+        let out = ShrinkOutcome {
+            original_faults: 10,
+            minimal: faults.to_vec(),
+            failure: acr_ckpt::CaseFailure {
+                trigger: "divergence",
+                record,
+                bundle,
+            },
+            rounds: 1,
+            evaluations: 2,
+            narrowed_fields: 0,
+            metrics: MetricsRegistry::new(),
+        };
+        let doc = repro_doc(&a, Benchmark::Cg, &out);
+        assert_eq!(doc, GOLDEN_REPRO);
+        let j = parse_json(&doc).unwrap();
+        let back: Vec<Fault> = j
+            .arr_field("faults")
+            .unwrap()
+            .iter()
+            .map(|f| fault_from_json(f).unwrap())
+            .collect();
+        assert_eq!(back, faults);
     }
 }

@@ -93,6 +93,80 @@ fn per_subcommand_checks_stay_where_the_value_is_used() {
     assert_usage_error(&["diff", "--host-gate", "maybe", "a.json", "b.json"]);
 }
 
+/// Writes the repro document `shrink --workload cg --seed 42 --faults 10
+/// --checkpoints 4` emits, with `generations` and its one fault's fields
+/// substituted, and returns its path.
+fn repro_file(name: &str, generations: u64, core: u64, addr: &str, bit: u64) -> String {
+    let path = format!("{}/{name}.repro.json", env!("CARGO_TARGET_TMPDIR"));
+    let doc = format!(
+        r#"{{
+  "schema": "acr.repro.v1",
+  "workload": "cg",
+  "case": 0,
+  "seed": "0x2a",
+  "threads": 2,
+  "scale": "0.05",
+  "checkpoints": 4,
+  "latency": "0.5",
+  "policy": "acr",
+  "recovery_faults": false,
+  "generations": {generations},
+  "watchdog_budget": 0,
+  "trigger": "divergence",
+  "probable_cause": "mem fault (0x80b0) planned at progress 1",
+  "original_faults": 10,
+  "faults": [
+    {{"at": 1, "core": {core}, "kind": "mem", "addr": "{addr}", "bit": {bit}}}
+  ]
+}}
+"#
+    );
+    std::fs::write(&path, doc).expect("writes the repro document");
+    path
+}
+
+#[test]
+fn replay_rejects_faults_the_planner_cannot_produce() {
+    for (name, core, addr, bit, field) in [
+        ("bad_addr", 0, "0xffffffffffffff80", 0, "addr"),
+        ("bad_core", 2, "0x80", 0, "core"),
+        ("bad_bit", 0, "0x80", 64, "bit"),
+    ] {
+        let path = repro_file(name, 1, core, addr, bit);
+        assert_usage_error(&["shrink", "--replay", &path]);
+        let stderr = String::from_utf8(acr_cli(&["shrink", "--replay", &path]).stderr).unwrap();
+        assert!(stderr.contains(&format!("field `{field}`")), "{stderr}");
+    }
+}
+
+#[test]
+fn huge_generation_counts_allocate_nothing_up_front() {
+    // Four billion retained generations once meant two `with_capacity`
+    // calls asking for hundreds of gigabytes.
+    let path = repro_file("many_generations", 4_000_000_000, 0, "0x80", 0);
+    let out = acr_cli(&["shrink", "--replay", &path]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(
+        stdout.contains("reproduced: trigger divergence"),
+        "{stdout}"
+    );
+    let out = acr_cli(&[
+        "inject",
+        "--generations",
+        "4000000000",
+        "--faults",
+        "2",
+        "--workloads",
+        "cg",
+        "--scale",
+        "0.03",
+        "--threads",
+        "2",
+    ]);
+    assert_eq!(out.status.code(), Some(0));
+}
+
 #[test]
 fn help_lists_every_flag() {
     let out = acr_cli(&["help"]);
