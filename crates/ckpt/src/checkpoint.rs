@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use acr_mem::ImageSnapshot;
 use acr_sim::CoreSnapshot;
 use acr_trace::Fnv1a;
 
@@ -23,9 +24,11 @@ pub struct CheckpointRecord {
     /// a single full mask under the global scheme.
     pub groups: Vec<u64>,
     /// Shadow copy of functional memory (oracle only; zero simulated
-    /// cost). Shared: the engine snapshots that fault campaigns fork
-    /// cases from hold the same images instead of copies.
-    pub shadow_mem: Option<Arc<[u64]>>,
+    /// cost). Shared twice over: the engine snapshots that fault cases
+    /// fork from hold the same shadows instead of copies, and each shadow
+    /// shares every chunk the image did not change since the previous
+    /// checkpoint's ([`acr_mem::MemImage::shared_snapshot`]).
+    pub shadow_mem: Option<Arc<ImageSnapshot>>,
     /// Integrity checksum over the architectural snapshot and epoch
     /// binding, sealed when the commit completes. A crash inside the
     /// commit window leaves a generation whose stored checksum no longer
@@ -108,7 +111,9 @@ mod tests {
         ckpt.seal();
         assert!(ckpt.verify());
         // Shadow memory is oracle-only: attaching it does not invalidate.
-        ckpt.shadow_mem = Some(vec![1, 2, 3].into());
+        ckpt.shadow_mem = Some(Arc::new(
+            acr_mem::dram::MemImage::new(64).shared_snapshot(None),
+        ));
         assert!(ckpt.verify());
         // A torn commit leaves arch state inconsistent with the checksum.
         ckpt.arch[1].regs[7] ^= 1 << 42;

@@ -1,6 +1,7 @@
 //! The BER engine: drives the machine between checkpoints and errors.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use acr_mem::{CoreId, LogController, LogEpoch, WordAddr, LOG_RECORD_BYTES};
 use acr_sim::{
@@ -246,11 +247,16 @@ impl<P: OmissionPolicy> ExecHooks for CkptHooks<P> {
 }
 
 /// An engine's state at a checkpoint commit, captured by
-/// [`BerEngine::snapshot`] and rewound to by [`BerEngine::restore`].
-/// Oracle shadow images are shared with the engine it came from, and the
-/// machine's memory image is the newest shadow, so a snapshot costs the
-/// caches' occupied ways, the directory, the log, the report and the
-/// policy's own snapshot — not another image.
+/// [`BerEngine::snapshot`] (or [`BerEngine::snapshot_sharing`]) and
+/// rewound to by [`BerEngine::restore`]. It shares whatever did not
+/// change: the oracle shadows are the engine's own chunked images, each
+/// sharing its unchanged chunks with the previous checkpoint's, and the
+/// machine's memory image is the newest of them; sealed log epochs are
+/// shared `Arc`s; and a policy snapshot taken with `snapshot_sharing`
+/// shares unchanged state with an earlier one (for `AcrPolicy`, packed
+/// `AddrMap` arena blocks). What remains is the caches' occupied ways,
+/// the directory, the open log epoch, the report and the policy's
+/// changed state.
 pub struct EngineSnapshot<P> {
     machine: MachineState,
     checkpoints: VecDeque<CheckpointRecord>,
@@ -412,7 +418,7 @@ impl<'p, P: OmissionPolicy> BerEngine<'p, P> {
             groups: vec![machine.all_mask()],
             shadow_mem: cfg
                 .oracle
-                .then(|| machine.mem().image().shared_snapshot(None)),
+                .then(|| Arc::new(machine.mem().image().shared_snapshot(None))),
         };
         initial.seal();
         let mut checkpoints = VecDeque::new();
@@ -519,13 +525,25 @@ impl<'p, P: OmissionPolicy> BerEngine<'p, P> {
     /// snapshot then shares that shadow instead of copying the image.
     pub fn snapshot(&self) -> Option<EngineSnapshot<P>> {
         let policy = self.hooks.policy.fork()?;
+        Some(self.snapshot_with(policy))
+    }
+
+    /// [`Self::snapshot`], with the policy's state sharing what did not
+    /// change since `prev`, an earlier snapshot of the same run
+    /// ([`OmissionPolicy::fork_sharing`]).
+    pub fn snapshot_sharing(&self, prev: &EngineSnapshot<P>) -> Option<EngineSnapshot<P>> {
+        let policy = self.hooks.policy.fork_sharing(&prev.policy)?;
+        Some(self.snapshot_with(policy))
+    }
+
+    fn snapshot_with(&self, policy: P) -> EngineSnapshot<P> {
         let image = self
             .checkpoints
             .back()
             .and_then(|c| c.shadow_mem.as_ref())
-            .filter(|shadow| shadow[..] == *self.machine.mem().image().words())
+            .filter(|shadow| shadow.matches(self.machine.mem().image().words()))
             .cloned();
-        Some(EngineSnapshot {
+        EngineSnapshot {
             machine: self.machine.save_state(image),
             checkpoints: self.checkpoints.clone(),
             logctl: self.hooks.logctl.clone(),
@@ -535,7 +553,7 @@ impl<'p, P: OmissionPolicy> BerEngine<'p, P> {
             degraded: self.hooks.degraded,
             policy,
             next_trigger: self.next_trigger(),
-        })
+        }
     }
 
     /// Rewinds the engine to `snap`, taken by [`Self::snapshot`] from an
@@ -1027,11 +1045,11 @@ impl<'p, P: OmissionPolicy> BerEngine<'p, P> {
         let mem = self.machine.mem_mut().stats_mut();
         mem.log_record_writes += records + arch_bytes / LOG_RECORD_BYTES;
 
-        // Retire the oldest generation first: its oracle shadow, unless an
-        // engine snapshot still shares it, becomes the new one's buffer.
-        let mut spare = None;
+        // The newest shadow before this commit: the new shadow shares
+        // every chunk the interval left unchanged.
+        let prev_shadow = self.checkpoints.back().and_then(|c| c.shadow_mem.clone());
         while self.checkpoints.len() >= self.retained_checkpoints {
-            spare = self.checkpoints.pop_front().and_then(|c| c.shadow_mem);
+            self.checkpoints.pop_front();
         }
         let progress = self.machine.total_retired();
         let mut record = CheckpointRecord {
@@ -1041,10 +1059,14 @@ impl<'p, P: OmissionPolicy> BerEngine<'p, P> {
             check: 0,
             arch: self.machine.snapshot_arch(),
             groups: groups.clone(),
-            shadow_mem: self
-                .cfg
-                .oracle
-                .then(|| self.machine.mem().image().shared_snapshot(spare)),
+            shadow_mem: self.cfg.oracle.then(|| {
+                Arc::new(
+                    self.machine
+                        .mem()
+                        .image()
+                        .shared_snapshot(prev_shadow.as_deref()),
+                )
+            }),
         };
         record.seal();
         self.checkpoints.push_back(record);
@@ -1400,19 +1422,11 @@ impl<'p, P: OmissionPolicy> BerEngine<'p, P> {
             match self.cfg.scheme {
                 Scheme::GlobalCoordinated => {
                     if fault_mode {
-                        shadow_divergence = self
-                            .machine
-                            .mem()
-                            .image()
-                            .words()
-                            .iter()
-                            .zip(shadow.iter())
-                            .filter(|(got, want)| got != want)
-                            .count() as u64;
+                        shadow_divergence =
+                            shadow.count_differing(self.machine.mem().image().words());
                     } else {
-                        assert_eq!(
-                            self.machine.mem().image().words(),
-                            &shadow[..],
+                        assert!(
+                            shadow.matches(self.machine.mem().image().words()),
                             "recovered memory image differs from the safe checkpoint"
                         );
                     }
@@ -1420,7 +1434,7 @@ impl<'p, P: OmissionPolicy> BerEngine<'p, P> {
                 Scheme::LocalCoordinated => {
                     for w in &restored_words {
                         let got = self.machine.mem().image().read(*w);
-                        let want = shadow[w.word_index()];
+                        let want = shadow.word(w.word_index());
                         if got != want {
                             assert!(
                                 fault_mode,

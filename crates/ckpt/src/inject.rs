@@ -893,157 +893,284 @@ where
     }
 }
 
-/// A campaign worker's prefix-sharing state: the working engine every
-/// case runs in, and a snapshot of the newest fault-free checkpoint commit
-/// the worker's driver has reached (commit 0 — the program start — until
-/// the first advance).
-///
-/// The snapshot only moves forward. The driver is the working engine
-/// itself: advancing restores the snapshot (unless the working engine
-/// still equals it) and walks it commit by commit with
-/// [`BerEngine::advance_to_fork_point`], snapshotting every commit that
-/// is still a fork point. A case then restores the snapshot, installs
-/// its fault plan and runs to its verdict.
-///
-/// The fork point of a case whose first fault lands at progress `at`
-/// follows [`ForkTarget::admits`] for a real fault: the last commit whose
-/// recorded progress is below `at`, or the commit whose trigger equals
-/// `at` (the checkpoint-first tie-break defers such a fault past the
-/// commit). Commits land exactly on their triggers — a store and its `ASSOC-ADDR`
-/// retire together, and `ASSOC-ADDR` does not count as progress — so in
-/// practice this is the last commit whose trigger is at most `at`; the
-/// rule still reads the recorded progress rather than assuming it.
-struct PrefixFork<'p, P: OmissionPolicy> {
+/// What a [`ForkCache`] saved and spent: evaluations forked past the
+/// program start, the fault-free instructions they did not re-simulate,
+/// and the commit snapshots built for them. The shrinker reports them as
+/// `shrink.*` metrics.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ForkStats {
+    /// Evaluations started from a checkpoint commit past the program
+    /// start.
+    pub forked_evaluations: u64,
+    /// Fault-free instructions those evaluations did not re-simulate: the
+    /// progress of the commit each one started from.
+    pub prefix_instructions_skipped: u64,
+    /// Commit snapshots built by advancing a lower one.
+    pub snapshot_builds: u64,
+}
+
+impl ForkStats {
+    /// Adds `other`'s counts to these.
+    pub fn merge(&mut self, other: ForkStats) {
+        self.forked_evaluations += other.forked_evaluations;
+        self.prefix_instructions_skipped += other.prefix_instructions_skipped;
+        self.snapshot_builds += other.snapshot_builds;
+    }
+}
+
+/// One commit snapshot a [`ForkCache`] holds.
+pub(crate) struct HeldCommit<P> {
+    /// Trigger of the commit (`None` at the program start).
+    trigger: Option<u64>,
+    snap: EngineSnapshot<P>,
+    /// The recorder rings at the commit.
+    rings: Option<FlightRecorder>,
+}
+
+/// A working engine with its flight recorder: what fault cases run in,
+/// each forked from a held commit snapshot.
+pub(crate) struct Worker<'p, P: OmissionPolicy> {
     engine: BerEngine<'p, P>,
     recorder: Option<SharedRecorder>,
-    /// Always `Some` between calls (emptied only while advancing, so a
-    /// superseded snapshot is freed before the next is taken).
-    snap: Option<EngineSnapshot<P>>,
-    /// The recorder rings at the snapshot's commit.
-    snap_rings: Option<FlightRecorder>,
-    /// Trigger of the snapshot's commit (`None` at the program start).
-    snap_trigger: Option<u64>,
-    /// The working engine still equals the snapshot.
-    clean: bool,
+    /// The fault-free commit (by trigger) the engine still equals; a
+    /// never-run engine equals commit 0 (`Some(None)`). Every snapshot of
+    /// one commit holds the same state, so the trigger identifies it.
+    clean: Option<Option<u64>>,
 }
 
-/// How a campaign worker runs its cases.
-enum CaseRunner<'p, P: OmissionPolicy> {
-    /// Forks every case from the worker's advancing snapshot.
-    Fork(Box<PrefixFork<'p, P>>),
-    /// The policy declines to fork, so every case runs fresh; holds the
-    /// fresh engine built while asking, for the worker's first case.
-    Fresh(Option<Box<(BerEngine<'p, P>, Option<SharedRecorder>)>>),
-}
-
-impl<'p, P: OmissionPolicy> CaseRunner<'p, P> {
-    /// Builds the worker's engine at commit 0 and asks its policy to fork.
-    fn new<F: Fn() -> P>(ctx: &CaseCtx<'p, F>) -> Self {
+impl<'p, P: OmissionPolicy> Worker<'p, P> {
+    /// A worker at commit 0.
+    pub(crate) fn new<F: Fn() -> P>(ctx: &CaseCtx<'p, F>) -> Self {
         let mut resilience = ctx.resilience(0);
         resilience.recovery_faults.clear();
         let (engine, recorder) = ctx.fresh_engine(Vec::new(), resilience);
-        let Some(snap) = engine.snapshot() else {
-            return CaseRunner::Fresh(Some(Box::new((engine, recorder))));
-        };
-        let snap_rings = recorder.as_ref().map(|r| r.borrow().clone());
-        CaseRunner::Fork(Box::new(PrefixFork {
+        Worker {
             engine,
             recorder,
-            snap: Some(snap),
-            snap_rings,
-            snap_trigger: None,
-            clean: true,
-        }))
-    }
-
-    /// Runs case `i` to its verdict.
-    fn run_case<F: Fn() -> P>(
-        &mut self,
-        ctx: &CaseCtx<'p, F>,
-        i: usize,
-        faults: &[Fault],
-    ) -> (FaultCaseRecord, Option<PostmortemBundle>) {
-        match self {
-            CaseRunner::Fork(fork) => fork.run_case(ctx, i, faults),
-            CaseRunner::Fresh(spare) => match spare.take().map(|b| *b) {
-                // A never-run engine with the case's plan installed is
-                // exactly the fresh engine `run_fault_case` would build.
-                Some((mut engine, recorder)) => {
-                    engine.install_faults(faults.to_vec(), ctx.resilience(i).recovery_faults);
-                    case_verdict(ctx, i, faults[0], &mut engine, recorder.as_ref())
-                }
-                None => run_fault_case(ctx, i, faults),
-            },
+            clean: Some(None),
         }
     }
-}
 
-impl<'p, P: OmissionPolicy> PrefixFork<'p, P> {
-    /// Makes the working engine (and its recorder) equal the snapshot.
-    fn reset_working(&mut self) {
-        if !self.clean {
-            let snap = self.snap.as_ref().expect("the policy forked at commit 0");
-            self.engine.restore(snap);
-            if let (Some(rec), Some(rings)) = (&self.recorder, &self.snap_rings) {
+    /// Makes the engine (and its recorder) equal `held`.
+    fn reset_to(&mut self, held: &HeldCommit<P>) {
+        if self.clean != Some(held.trigger) {
+            self.engine.restore(&held.snap);
+            if let (Some(rec), Some(rings)) = (&self.recorder, &held.rings) {
                 rec.borrow_mut().restore(rings);
             }
-            self.clean = true;
+            self.clean = Some(held.trigger);
         }
     }
 
-    /// Advances the snapshot to the fork point of a case whose first fault
-    /// lands at `at`. Returns `false` when the snapshot is already past
-    /// that fork point, which fork-point order rules out unless a commit
-    /// overshoots its trigger; such a case runs fresh.
-    fn advance(&mut self, at: u64) -> bool {
-        let target = ForkTarget::fault(at);
-        if self.snap().next_trigger().is_some_and(|t| t <= at) {
-            self.reset_working();
-            let (snap, snap_rings, snap_trigger) =
-                (&mut self.snap, &mut self.snap_rings, &mut self.snap_trigger);
-            let recorder = &self.recorder;
-            let at_snapshot = self.engine.advance_to_fork_point(target, |engine, t| {
-                *snap = None;
-                *snap = Some(engine.snapshot().expect("the policy forks every time"));
-                if let (Some(rec), Some(rings)) = (recorder, snap_rings.as_mut()) {
-                    rings.restore(&rec.borrow());
-                }
-                *snap_trigger = Some(t);
-            });
-            // On a simulator error the case forks from the snapshot kept so
-            // far and meets the error itself.
-            self.clean = matches!(at_snapshot, Ok(true));
-        }
-        self.snap_trigger
-            .is_none_or(|t| target.admits(t, self.snap().progress()))
-    }
-
-    fn snap(&self) -> &EngineSnapshot<P> {
-        self.snap.as_ref().expect("the policy forked at commit 0")
-    }
-
-    /// Runs case `i` forked from its fork point (fresh if the snapshot has
-    /// already moved past it).
-    fn run_case<F: Fn() -> P>(
+    /// Runs case `i` with fault plan `faults` to its verdict, forked from
+    /// `held` — a commit no later than the fork point of the plan's first
+    /// fault — and counts the fork in `stats`.
+    pub(crate) fn run_from<F: Fn() -> P>(
         &mut self,
-        ctx: &CaseCtx<'p, F>,
+        held: &HeldCommit<P>,
+        ctx: &CaseCtx<'_, F>,
+        i: usize,
+        faults: &[Fault],
+        stats: &mut ForkStats,
+    ) -> (FaultCaseRecord, Option<PostmortemBundle>) {
+        self.reset_to(held);
+        if held.trigger.is_some() {
+            stats.forked_evaluations += 1;
+            stats.prefix_instructions_skipped += held.snap.progress();
+        }
+        self.clean = None;
+        self.run(ctx, i, faults)
+    }
+
+    /// Installs the case's fault plan and runs it to its verdict.
+    fn run<F: Fn() -> P>(
+        &mut self,
+        ctx: &CaseCtx<'_, F>,
         i: usize,
         faults: &[Fault],
     ) -> (FaultCaseRecord, Option<PostmortemBundle>) {
-        let at = faults.iter().map(|f| f.at_progress).min().unwrap_or(0);
-        if !self.advance(at) {
-            return run_fault_case(ctx, i, faults);
-        }
-        self.reset_working();
-        self.clean = false;
         self.engine
             .install_faults(faults.to_vec(), ctx.resilience(i).recovery_faults);
         case_verdict(ctx, i, faults[0], &mut self.engine, self.recorder.as_ref())
     }
 }
 
+/// The one fork mechanism of fault cases: every campaign worker and every
+/// shrink evaluation runs its cases through one. The cache owns a
+/// [`Worker`], a snapshot of commit 0 (the program start) and at most
+/// [`ForkCache::RECENT`] snapshots of later fault-free checkpoint commits.
+///
+/// A case whose first fault lands at progress `at` forks from its fork
+/// point, which follows [`ForkTarget::admits`] for a real fault: the last
+/// commit whose recorded progress is below `at`, or the commit whose
+/// trigger equals `at` (the checkpoint-first tie-break defers such a
+/// fault past the commit). Commits land exactly on their triggers — a
+/// store and its `ASSOC-ADDR` retire together, and `ASSOC-ADDR` does not
+/// count as progress — so in practice this is the last commit whose
+/// trigger is at most `at`; the rule still reads the recorded progress
+/// rather than assuming it. When the fork point's snapshot is missing,
+/// the cache builds it by advancing the working engine from the nearest
+/// lower snapshot it holds ([`BerEngine::advance_to_fork_point`]) and
+/// evicts the least recently used later snapshot. The case then restores
+/// the snapshot, installs its fault plan and runs to the verdict a fresh
+/// run would reach.
+///
+/// Campaign workers take their cases in fork-point order, so for them the
+/// cache only moves forward and never re-simulates a commit it passed.
+/// The shrinker's fork points rise during ddmin (every candidate is a
+/// subset of the plan) and fall during field narrowing (injection points
+/// halve); commit 0 plus the two most recently used commits serve both
+/// nearly as well as every commit would, at a fraction of the memory.
+///
+/// A policy that declines to fork ([`OmissionPolicy::fork`]) leaves the
+/// cache empty: its first case runs in the never-run working engine, and
+/// every later one in a fresh engine.
+pub(crate) struct ForkCache<'p, P: OmissionPolicy> {
+    worker: Worker<'p, P>,
+    /// Commit 0 first, then later commits, least recently used first.
+    held: Vec<HeldCommit<P>>,
+    stats: ForkStats,
+}
+
+impl<'p, P: OmissionPolicy> ForkCache<'p, P> {
+    /// Later commit snapshots held next to commit 0.
+    const RECENT: usize = 2;
+
+    /// Builds the working engine at commit 0 and, when the policy forks,
+    /// the commit-0 snapshot.
+    pub(crate) fn new<F: Fn() -> P>(ctx: &CaseCtx<'p, F>) -> Self {
+        let worker = Worker::new(ctx);
+        let held = worker
+            .engine
+            .snapshot()
+            .map(|snap| HeldCommit {
+                trigger: None,
+                snap,
+                rings: worker.recorder.as_ref().map(|r| r.borrow().clone()),
+            })
+            .into_iter()
+            .collect();
+        ForkCache {
+            worker,
+            held,
+            stats: ForkStats::default(),
+        }
+    }
+
+    /// Whether the policy forks (the cache holds snapshots).
+    pub(crate) fn forks(&self) -> bool {
+        !self.held.is_empty()
+    }
+
+    /// The counts gathered since the last call.
+    pub(crate) fn take_stats(&mut self) -> ForkStats {
+        std::mem::take(&mut self.stats)
+    }
+
+    /// Runs case `i` with fault plan `faults` to its verdict, forked from
+    /// its fork point.
+    pub(crate) fn run_case<F: Fn() -> P>(
+        &mut self,
+        ctx: &CaseCtx<'_, F>,
+        i: usize,
+        faults: &[Fault],
+    ) -> (FaultCaseRecord, Option<PostmortemBundle>) {
+        if !self.forks() {
+            // A never-run engine with the case's plan installed is exactly
+            // the fresh engine `run_fault_case` would build.
+            if self.worker.clean.take().is_none() {
+                return run_fault_case(ctx, i, faults);
+            }
+            return self.worker.run(ctx, i, faults);
+        }
+        let at = faults.iter().map(|f| f.at_progress).min().unwrap_or(0);
+        let k = self.fork_point(at);
+        self.run_from_held(k, ctx, i, faults)
+    }
+
+    /// Runs case `i` forked from held snapshot `k` (see
+    /// [`Worker::run_from`]).
+    pub(crate) fn run_from_held<F: Fn() -> P>(
+        &mut self,
+        k: usize,
+        ctx: &CaseCtx<'_, F>,
+        i: usize,
+        faults: &[Fault],
+    ) -> (FaultCaseRecord, Option<PostmortemBundle>) {
+        self.worker
+            .run_from(&self.held[k], ctx, i, faults, &mut self.stats)
+    }
+
+    /// Held snapshot `k`.
+    pub(crate) fn held(&self, k: usize) -> &HeldCommit<P> {
+        &self.held[k]
+    }
+
+    /// Whether held snapshot `k`, found by [`Self::fork_point`] for a
+    /// first fault at or before `at`, is also the fork point for `at`: no
+    /// later commit lies at or before it.
+    pub(crate) fn is_fork_point(&self, k: usize, at: u64) -> bool {
+        self.held[k].snap.next_trigger().is_none_or(|t| t > at)
+    }
+
+    /// The index of the held snapshot a case whose first fault lands at
+    /// `at` forks from — its fork point, built first when missing — now
+    /// the most recently used. Only for a cache that [`Self::forks`].
+    pub(crate) fn fork_point(&mut self, at: u64) -> usize {
+        let target = ForkTarget::fault(at);
+        let k = (0..self.held.len())
+            .filter(|&k| {
+                let h = &self.held[k];
+                h.trigger
+                    .is_none_or(|t| target.admits(t, h.snap.progress()))
+            })
+            .max_by_key(|&k| self.held[k].trigger)
+            .expect("commit 0 is held");
+        if !self.is_fork_point(k, at) {
+            let worker = &mut self.worker;
+            worker.reset_to(&self.held[k]);
+            let mut reached = None;
+            let advanced = worker
+                .engine
+                .advance_to_fork_point(target, |_, t| reached = Some(t));
+            if let (Ok(true), Some(t)) = (advanced, reached) {
+                // The new snapshot shares what it can with the held later
+                // commit nearest to it.
+                let nearest = self.held[1..]
+                    .iter()
+                    .min_by_key(|h| h.trigger.map(|u| u.abs_diff(t)));
+                let snap = match nearest {
+                    Some(h) => worker.engine.snapshot_sharing(&h.snap),
+                    None => worker.engine.snapshot(),
+                };
+                if self.held.len() > Self::RECENT {
+                    self.held.remove(1);
+                }
+                self.held.push(HeldCommit {
+                    trigger: Some(t),
+                    snap: snap.expect("the policy forks every time"),
+                    rings: worker.recorder.as_ref().map(|r| r.borrow().clone()),
+                });
+                worker.clean = Some(Some(t));
+                self.stats.snapshot_builds += 1;
+                return self.held.len() - 1;
+            }
+            // A simulator error, or a commit past the fork point (one that
+            // overshot its trigger): the case forks from the lower snapshot
+            // and meets either itself.
+            worker.clean = None;
+        }
+        if k == 0 {
+            return 0;
+        }
+        let used = self.held.remove(k);
+        self.held.push(used);
+        self.held.len() - 1
+    }
+}
+
 /// Case indices in fork-point order — by first-fault landing point — so
-/// a worker handed increasing positions only ever advances its snapshot.
+/// a worker handed increasing positions only ever advances its cache.
 fn fork_order(faults: &[Fault]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..faults.len()).collect();
     order.sort_by_key(|&i| (faults[i].at_progress, i));
@@ -1322,8 +1449,8 @@ where
         policy: &policy,
     };
 
-    // Cases run in fork-point order, each worker forking its cases from
-    // its own advancing commit snapshot (see `PrefixFork`). Dynamic work
+    // Cases run in fork-point order, each worker forking its cases through
+    // its own fork cache (see `ForkCache`). Dynamic work
     // handout, static (case-index-ordered) result placement: the merged
     // report is identical for every jobs value, and identical to running
     // every case fresh.
@@ -1337,7 +1464,7 @@ where
             let i = order[j];
             let faults = std::slice::from_ref(&plan.faults[i]);
             let (rec, bundle) = worker
-                .get_or_insert_with(|| CaseRunner::new(&ctx))
+                .get_or_insert_with(|| ForkCache::new(&ctx))
                 .run_case(&ctx, i, faults);
             record_case_metrics(shard, &rec);
             let line = cfg.progress.then(|| case_log_line(&rec));
@@ -1423,10 +1550,10 @@ mod tests {
         run_campaign(&p, MachineConfig::with_cores(2), &cfg, || NoOmission).expect("campaign runs")
     }
 
-    /// A worker's snapshot only moves forward; a case whose fork point it
-    /// has already passed (out of fork-point order) runs fresh. In any
-    /// order every case matches its fresh run exactly, postmortems
-    /// included.
+    /// A fork cache serves fork points in any order — building missing
+    /// snapshots from the nearest lower one it holds, evicting the least
+    /// recently used — and every case matches its fresh run exactly,
+    /// postmortems included.
     #[test]
     fn forked_cases_match_fresh_cases_in_any_order() {
         let p = kernel(2, 60);
@@ -1459,17 +1586,16 @@ mod tests {
             bit: 4,
         };
         let faults = [
-            fault(triggers[3] + 5, flip),
-            fault(triggers[1], flip), // behind the snapshot: fresh
-            fault(triggers[3], FaultKind::Crash),
-            fault(triggers[4] + 1, mem),
-            fault(1, flip),
+            fault(triggers[3] + 5, flip),         // builds commit 4 from commit 0
+            fault(triggers[1], flip),             // builds commit 2 from commit 0
+            fault(triggers[3], FaultKind::Crash), // held: commit 4
+            fault(triggers[4] + 1, mem),          // builds commit 5 from 4, evicts 2
+            fault(1, flip),                       // commit 0
+            fault(triggers[1] + 2, mem),          // rebuilds commit 2
         ];
-        let CaseRunner::Fork(mut fork) = CaseRunner::new(&ctx) else {
-            panic!("NoOmission forks");
-        };
+        let mut cache = ForkCache::new(&ctx);
         for (i, f) in faults.iter().enumerate() {
-            let (rec, bundle) = fork.run_case(&ctx, i, std::slice::from_ref(f));
+            let (rec, bundle) = cache.run_case(&ctx, i, std::slice::from_ref(f));
             let (want, want_bundle) = run_fault_case(&ctx, i, std::slice::from_ref(f));
             assert_eq!(rec, want, "case {i}");
             assert_eq!(
@@ -1478,10 +1604,15 @@ mod tests {
                 "case {i}"
             );
         }
+        let held: Vec<_> = cache.held.iter().map(|h| h.trigger).collect();
+        assert_eq!(held, [None, Some(triggers[4]), Some(triggers[1])]);
         assert_eq!(
-            fork.snap_trigger,
-            Some(triggers[4]),
-            "the snapshot advanced"
+            cache.take_stats(),
+            ForkStats {
+                forked_evaluations: 5,
+                prefix_instructions_skipped: 2 * triggers[3] + triggers[4] + 2 * triggers[1],
+                snapshot_builds: 4,
+            }
         );
     }
 

@@ -50,7 +50,7 @@ pub use engine::{
 pub use errors::CkptError;
 pub use inject::{
     run_campaign, run_campaign_loads, CampaignConfig, CampaignError, CampaignReport, CaseOutcome,
-    FaultCaseRecord,
+    FaultCaseRecord, ForkStats,
 };
 pub use ledger::{DecisionLedger, OmitReason, ReplayCost, NUM_REASONS, RANGE_BYTES};
 pub use monitor::{BreachRecord, InvariantSummary, MonitorCounters};
@@ -62,8 +62,8 @@ pub use postmortem::{
 pub use report::{BerReport, IntervalRecord, RecoveryRecord};
 pub use schedule::{uniform_points, ErrorSchedule};
 pub use shrink::{
-    dense_fault_plan, fault_from_json, fault_to_json, fault_value, replay_case, shrink_case,
-    CaseFailure, ShrinkConfig, ShrinkOutcome, REPRO_SCHEMA,
+    dense_fault_plan, evaluate_plans, fault_from_json, fault_to_json, fault_value, replay_case,
+    shrink_case, CaseFailure, ShrinkConfig, ShrinkOutcome, REPRO_SCHEMA,
 };
 pub use soak::{
     chunk_config, chunk_seed, default_models, default_resilience, run_soak, SoakCell, SoakCombo,

@@ -17,6 +17,11 @@
 //!    bottom of the image (word-aligned) — each step kept only while the
 //!    case still fails with the same signature.
 //!
+//! Every evaluation forks from a snapshot of the fault-free run's last
+//! checkpoint commit before the plan's first fault, through one fork
+//! cache (DESIGN.md §15), so it does not re-simulate the shared prefix;
+//! the verdicts are those of fresh runs.
+//!
 //! The *failure signature* is the postmortem trigger (`"divergence"`,
 //! `"abort"`, `"hang"`, …): a shrunk plan must reproduce the exact
 //! trigger of the original failure, not merely *some* failure, so the
@@ -32,6 +37,7 @@ use acr_trace::{Json, JsonStyle, MetricsRegistry};
 use crate::errors::CkptError;
 use crate::inject::{
     fault_free_baseline, run_fault_case, CampaignConfig, CampaignError, CaseCtx, FaultCaseRecord,
+    ForkCache, ForkStats, Worker,
 };
 use crate::parallel::ParallelRunner;
 use crate::policy::OmissionPolicy;
@@ -93,6 +99,8 @@ pub struct ShrinkOutcome {
     pub evaluations: u64,
     /// Narrowing steps that were kept.
     pub narrowed_fields: u64,
+    /// What forking the evaluations saved and cost.
+    pub fork: ForkStats,
     /// `shrink.*` counters mirroring the fields above.
     pub metrics: MetricsRegistry,
 }
@@ -165,6 +173,63 @@ where
     if faults.is_empty() {
         return Err(CkptError::EmptyCampaign.into());
     }
+    let (record, bundle) = with_case_ctx(program, machine, cfg, &policy, |ctx| {
+        run_fault_case(ctx, case_index, faults)
+    })?;
+    Ok(bundle.map(|bundle| {
+        let trigger = bundle.trigger;
+        CaseFailure {
+            trigger,
+            record,
+            bundle,
+        }
+    }))
+}
+
+/// Evaluates fault plans of case `case_index` in the given order through
+/// one fork cache, as the shrinker does at one job: each plan
+/// forks from the fault-free commit snapshot before its first fault,
+/// built on demand. Returns each plan's record and postmortem bundle —
+/// those of a fresh run of the plan — and what forking saved and cost.
+///
+/// # Errors
+///
+/// Like [`replay_case`], for an empty plan among `plans` too.
+#[allow(clippy::type_complexity)]
+pub fn evaluate_plans<P, F>(
+    program: &Program,
+    machine: MachineConfig,
+    cfg: &CampaignConfig,
+    case_index: usize,
+    plans: &[Vec<Fault>],
+    policy: F,
+) -> Result<(Vec<(FaultCaseRecord, Option<PostmortemBundle>)>, ForkStats), CampaignError>
+where
+    P: OmissionPolicy,
+    F: Fn() -> P + Sync,
+{
+    if plans.iter().any(Vec::is_empty) {
+        return Err(CkptError::EmptyCampaign.into());
+    }
+    with_case_ctx(program, machine, cfg, &policy, |ctx| {
+        let mut cache = ForkCache::new(ctx);
+        let results = plans
+            .iter()
+            .map(|plan| cache.run_case(ctx, case_index, plan))
+            .collect();
+        (results, cache.take_stats())
+    })
+}
+
+/// Checks the detection latency, runs the fault-free baseline and hands
+/// `body` the context every evaluation of one case's plans runs under.
+fn with_case_ctx<F, R>(
+    program: &Program,
+    machine: MachineConfig,
+    cfg: &CampaignConfig,
+    policy: &F,
+    body: impl FnOnce(&CaseCtx<'_, F>) -> R,
+) -> Result<R, CampaignError> {
     if !(0.0..=1.0).contains(&cfg.detection_latency_frac) {
         return Err(CkptError::InvalidLatency {
             frac: cfg.detection_latency_frac,
@@ -174,7 +239,7 @@ where
     let base = fault_free_baseline(program, machine, cfg.interp_fuel, 0)?;
     let period = base.total / (u64::from(cfg.num_checkpoints) + 1);
     let detection_latency = (period as f64 * cfg.detection_latency_frac) as u64;
-    let ctx = CaseCtx {
+    Ok(body(&CaseCtx {
         program,
         machine,
         cfg,
@@ -182,16 +247,7 @@ where
         detection_latency,
         reference_mem: &base.reference_mem,
         reference_regs: base.reference_regs.as_deref(),
-        policy: &policy,
-    };
-    let (record, bundle) = run_fault_case(&ctx, case_index, faults);
-    Ok(bundle.map(|bundle| {
-        let trigger = bundle.trigger;
-        CaseFailure {
-            trigger,
-            record,
-            bundle,
-        }
+        policy,
     }))
 }
 
@@ -322,6 +378,9 @@ fn narrowing_steps(f: Fault) -> Vec<Fault> {
 /// recovery faults) exactly as the campaign did, so the shrunk plan
 /// replays in the identical engine configuration.
 ///
+/// The policy is `Sync` because parallel ddmin workers restore their
+/// engines from the snapshots one fork cache holds.
+///
 /// # Errors
 ///
 /// * [`CampaignError`] if the fault-free baseline fails;
@@ -337,34 +396,34 @@ pub fn shrink_case<P, F>(
     policy: F,
 ) -> Result<ShrinkOutcome, CampaignError>
 where
-    P: OmissionPolicy,
+    P: OmissionPolicy + Sync,
     F: Fn() -> P + Sync,
 {
     if faults.is_empty() {
         return Err(CkptError::EmptyCampaign.into());
     }
-    if !(0.0..=1.0).contains(&cfg.detection_latency_frac) {
-        return Err(CkptError::InvalidLatency {
-            frac: cfg.detection_latency_frac,
-        }
-        .into());
-    }
-    let base = fault_free_baseline(program, machine, cfg.interp_fuel, 0)?;
-    let period = base.total / (u64::from(cfg.num_checkpoints) + 1);
-    let detection_latency = (period as f64 * cfg.detection_latency_frac) as u64;
-    let ctx = CaseCtx {
-        program,
-        machine,
-        cfg,
-        total: base.total,
-        detection_latency,
-        reference_mem: &base.reference_mem,
-        reference_regs: base.reference_regs.as_deref(),
-        policy: &policy,
-    };
+    with_case_ctx(program, machine, cfg, &policy, |ctx| {
+        shrink_with(ctx, case_index, faults, shrink_cfg)
+    })?
+}
+
+/// [`shrink_case`] under its case context.
+fn shrink_with<P, F>(
+    ctx: &CaseCtx<'_, F>,
+    case_index: usize,
+    faults: &[Fault],
+    shrink_cfg: &ShrinkConfig,
+) -> Result<ShrinkOutcome, CampaignError>
+where
+    P: OmissionPolicy + Sync,
+    F: Fn() -> P + Sync,
+{
+    // Every stage shares one fork cache.
+    let mut cache = ForkCache::new(ctx);
+    let mut fork = ForkStats::default();
 
     // The failure signature the whole search must preserve.
-    let (record, bundle) = run_fault_case(&ctx, case_index, faults);
+    let (record, bundle) = cache.run_case(ctx, case_index, faults);
     let mut evaluations = 1u64;
     let Some(bundle) = bundle else {
         return Err(CkptError::Unsupported {
@@ -376,8 +435,8 @@ where
         .into());
     };
     let trigger = bundle.trigger;
-    let fails = |plan: &[Fault]| -> bool {
-        let (_, b) = run_fault_case(&ctx, case_index, plan);
+    let fails = |cache: &mut ForkCache<'_, P>, plan: &[Fault]| -> bool {
+        let (_, b) = cache.run_case(ctx, case_index, plan);
         b.is_some_and(|b| b.trigger == trigger)
     };
 
@@ -403,7 +462,15 @@ where
             .filter(|cand| !cand.is_empty())
             .collect();
         evaluations += candidates.len() as u64;
-        let verdicts = runner.run_ordered(candidates.len(), |i| fails(&candidates[i]));
+        let verdicts = ddmin_round(
+            ctx,
+            case_index,
+            trigger,
+            &runner,
+            &candidates,
+            &mut cache,
+            &mut fork,
+        );
         if let Some(winner) = verdicts.iter().position(|&v| v) {
             plan = candidates[winner].clone();
             chunks = 2.max(n - 1);
@@ -429,7 +496,7 @@ where
                 let mut cand = plan.clone();
                 cand[idx] = step;
                 evaluations += 1;
-                if fails(&cand) {
+                if fails(&mut cache, &cand) {
                     plan = cand;
                     narrowed_fields += 1;
                     advanced = true;
@@ -445,10 +512,11 @@ where
 
     // Final definitive run of the minimal plan: its record and bundle are
     // what the repro ships.
-    let (record, bundle) = run_fault_case(&ctx, case_index, &plan);
+    let (record, bundle) = cache.run_case(ctx, case_index, &plan);
     evaluations += 1;
     let bundle = bundle.expect("minimal plan was verified to fail");
     debug_assert_eq!(bundle.trigger, trigger);
+    fork.merge(cache.take_stats());
 
     let mut metrics = MetricsRegistry::new();
     metrics.set("shrink.original_faults", faults.len() as u64);
@@ -457,6 +525,12 @@ where
     metrics.set("shrink.rounds", rounds);
     metrics.set("shrink.evaluations", evaluations);
     metrics.set("shrink.narrowed_fields", narrowed_fields);
+    metrics.set("shrink.forked_evaluations", fork.forked_evaluations);
+    metrics.set(
+        "shrink.prefix_instructions_skipped",
+        fork.prefix_instructions_skipped,
+    );
+    metrics.set("shrink.snapshot_builds", fork.snapshot_builds);
 
     Ok(ShrinkOutcome {
         original_faults: faults.len(),
@@ -469,8 +543,82 @@ where
         rounds,
         evaluations,
         narrowed_fields,
+        fork,
         metrics,
     })
+}
+
+/// Evaluates one ddmin round's candidates — whether each still fails with
+/// `trigger` — and returns the verdicts by candidate index. Candidates run
+/// in fork-point order through `cache`, so the snapshots it builds, and
+/// with them every count, are the same for every jobs value. With more
+/// than one worker, the candidates that share a fork point run in
+/// parallel, each worker restoring the cache's snapshot of that commit
+/// into an engine of its own; their counts go to `fork`.
+fn ddmin_round<'p, P, F>(
+    ctx: &CaseCtx<'p, F>,
+    case_index: usize,
+    trigger: &str,
+    runner: &ParallelRunner,
+    candidates: &[Vec<Fault>],
+    cache: &mut ForkCache<'p, P>,
+    fork: &mut ForkStats,
+) -> Vec<bool>
+where
+    P: OmissionPolicy + Sync,
+    F: Fn() -> P + Sync,
+{
+    let first_fault = |c: usize| {
+        let at = candidates[c].iter().map(|f| f.at_progress).min();
+        at.expect("candidates are never empty")
+    };
+    let fails = |bundle: Option<PostmortemBundle>| bundle.is_some_and(|b| b.trigger == trigger);
+    if runner.jobs() > 1 && !cache.forks() {
+        return runner.run_ordered(candidates.len(), |c| {
+            fails(run_fault_case(ctx, case_index, &candidates[c]).1)
+        });
+    }
+    let mut order: Vec<usize> = (0..candidates.len()).collect();
+    order.sort_by_key(|&c| (first_fault(c), c));
+    let mut verdicts = vec![false; candidates.len()];
+    if runner.jobs() == 1 {
+        for &c in &order {
+            verdicts[c] = fails(cache.run_case(ctx, case_index, &candidates[c]).1);
+        }
+        return verdicts;
+    }
+    let mut rest = &order[..];
+    while let Some((&first, others)) = rest.split_first() {
+        let k = cache.fork_point(first_fault(first));
+        let shared = others
+            .iter()
+            .take_while(|&&c| cache.is_fork_point(k, first_fault(c)))
+            .count();
+        let (group, tail) = rest.split_at(1 + shared);
+        rest = tail;
+        if let [c] = *group {
+            verdicts[c] = fails(cache.run_from_held(k, ctx, case_index, &candidates[c]).1);
+            continue;
+        }
+        let held = cache.held(k);
+        let (got, shards, _loads) = runner.run_with_locals(
+            group.len(),
+            ForkStats::default,
+            || None,
+            |j, shard: &mut ForkStats, worker: &mut Option<Worker<'p, P>>| {
+                let worker = worker.get_or_insert_with(|| Worker::new(ctx));
+                let plan = &candidates[group[j]];
+                fails(worker.run_from(held, ctx, case_index, plan, shard).1)
+            },
+        );
+        for (&c, v) in group.iter().zip(got) {
+            verdicts[c] = v;
+        }
+        for shard in shards {
+            fork.merge(shard);
+        }
+    }
+    verdicts
 }
 
 /// One fault as a [`Json`] object (kind-specific fields only; addresses
@@ -712,6 +860,11 @@ mod tests {
             runs[1].failure.bundle.to_json()
         );
         assert_eq!(runs[0].evaluations, runs[1].evaluations);
+        // Forking is jobs-invariant too, snapshot builds included.
+        assert_eq!(runs[0].fork, runs[1].fork);
+        assert_eq!(runs[0].metrics.digest(), runs[1].metrics.digest());
+        assert!(runs[0].fork.forked_evaluations > 0, "{:?}", runs[0].fork);
+        assert!(runs[0].fork.snapshot_builds > 0, "{:?}", runs[0].fork);
     }
 
     #[test]

@@ -34,6 +34,8 @@
 //! the invariants and why determinism is structural here rather than
 //! sort-on-iterate.
 
+use std::sync::Arc;
+
 use acr_isa::{SliceId, MAX_SLICE_INPUTS};
 use acr_mem::WordAddr;
 use acr_trace::{Fnv1a, MetricsRegistry};
@@ -164,15 +166,108 @@ impl Captures {
         &self.words[at..at + usize::from(v.inputs)]
     }
 
-    /// Overwrites this slab with `other`, reusing its storage.
-    fn restore(&mut self, other: &Captures) {
+    /// Overwrites this slab with a frozen one, reusing its storage.
+    fn thaw(&mut self, frozen: &FrozenArena) {
         self.words.clear();
-        self.words.extend_from_slice(&other.words);
-        for (mine, theirs) in self.free.iter_mut().zip(&other.free) {
+        for chunk in &frozen.words {
+            self.words.extend_from_slice(chunk);
+        }
+        for (mine, theirs) in self.free.iter_mut().zip(&frozen.free) {
             mine.clear();
             mine.extend_from_slice(theirs);
         }
     }
+}
+
+/// Entries per shared block of a snapshot's arena.
+const FROZEN_ENTRIES: usize = 16;
+
+/// Words per shared chunk of a snapshot's capture slab (512 B).
+const FROZEN_WORDS: usize = 64;
+
+/// The entry arena and capture slab of an [`AddrMap::snapshot`], frozen
+/// in fixed-size shared pieces. A piece equal to the same piece of an
+/// earlier snapshot shares that piece's allocation: between nearby
+/// checkpoint commits much of the arena and nearly all captures are
+/// unchanged.
+#[derive(Debug, Clone)]
+struct FrozenArena {
+    entries: Vec<Arc<FrozenBlock>>,
+    words: Vec<Arc<[u64]>>,
+    free: [Vec<u32>; MAX_SLICE_INPUTS + 1],
+}
+
+/// [`FROZEN_ENTRIES`] consecutive arena entries (fewer at the end),
+/// packed: each entry's key and history length, and the histories back
+/// to back — no unused inline version slots and no spill pointers, so a
+/// frozen entry costs 12 bytes plus 16 per version instead of 64.
+#[derive(Debug, PartialEq, Eq)]
+struct FrozenBlock {
+    keys: Box<[WordAddr]>,
+    lens: Box<[u32]>,
+    versions: Box<[Version]>,
+}
+
+impl FrozenBlock {
+    fn pack(entries: &[Entry]) -> Self {
+        FrozenBlock {
+            keys: entries.iter().map(|e| e.key).collect(),
+            lens: entries.iter().map(|e| e.versions.len).collect(),
+            versions: entries.iter().flat_map(|e| e.versions.iter()).collect(),
+        }
+    }
+
+    /// Whether the block packs exactly `entries`.
+    fn holds(&self, entries: &[Entry]) -> bool {
+        self.keys.len() == entries.len()
+            && entries.iter().zip(&self.keys[..]).all(|(e, &k)| e.key == k)
+            && entries
+                .iter()
+                .zip(&self.lens[..])
+                .all(|(e, &n)| e.versions.len == n)
+            && entries
+                .iter()
+                .flat_map(|e| e.versions.iter())
+                .eq(self.versions.iter().copied())
+    }
+
+    fn unpack_into(&self, out: &mut Vec<Entry>) {
+        let mut at = 0;
+        for (&key, &n) in self.keys.iter().zip(&self.lens[..]) {
+            let end = at + n as usize;
+            out.push(Entry {
+                key,
+                versions: VersionList::from_slice(&self.versions[at..end]),
+            });
+            at = end;
+        }
+    }
+}
+
+/// `words` in chunks of [`FROZEN_WORDS`], each shared with the same
+/// chunk of `prev` when equal and copied otherwise.
+fn freeze_words(words: &[u64], prev: &[Arc<[u64]>]) -> Vec<Arc<[u64]>> {
+    words
+        .chunks(FROZEN_WORDS)
+        .enumerate()
+        .map(|(i, chunk)| match prev.get(i) {
+            Some(old) if old[..] == *chunk => Arc::clone(old),
+            _ => Arc::from(chunk),
+        })
+        .collect()
+}
+
+/// `entries` in blocks of [`FROZEN_ENTRIES`], each shared with the same
+/// block of `prev` when equal and packed otherwise.
+fn freeze_entries(entries: &[Entry], prev: &[Arc<FrozenBlock>]) -> Vec<Arc<FrozenBlock>> {
+    entries
+        .chunks(FROZEN_ENTRIES)
+        .enumerate()
+        .map(|(i, chunk)| match prev.get(i) {
+            Some(old) if old.holds(chunk) => Arc::clone(old),
+            _ => Arc::new(FrozenBlock::pack(chunk)),
+        })
+        .collect()
 }
 
 /// A live association as seen by readers: the Slice and its captured
@@ -219,6 +314,21 @@ impl VersionList {
             spill: None,
             len: 0,
         }
+    }
+
+    /// A list holding exactly `versions`, oldest first.
+    fn from_slice(versions: &[Version]) -> Self {
+        let mut list = VersionList::new();
+        let inline = versions.len().min(INLINE_VERSIONS);
+        list.inline[..inline].copy_from_slice(&versions[..inline]);
+        list.spill = (versions.len() > INLINE_VERSIONS).then(|| versions[INLINE_VERSIONS..].into());
+        list.len = versions.len() as u32;
+        list
+    }
+
+    /// The versions, oldest first.
+    fn iter(&self) -> impl Iterator<Item = Version> + '_ {
+        (0..self.len()).map(|i| *self.get(i))
     }
 
     #[inline]
@@ -439,6 +549,10 @@ pub struct AddrMap {
     entries: Vec<Entry>,
     /// Captured inputs of the live versions.
     captures: Captures,
+    /// A [`AddrMap::snapshot`]'s arena and captures, which it holds here
+    /// in shared chunks instead of in `entries` and `captures` (`None`
+    /// in a live map).
+    frozen: Option<Box<FrozenArena>>,
     live_per_core: Vec<usize>,
     usage: AddrMapUsage,
 }
@@ -451,21 +565,32 @@ impl AddrMap {
             slots: vec![Slot::EMPTY; INITIAL_SLOTS],
             entries: Vec::new(),
             captures: Captures::default(),
+            frozen: None,
             live_per_core: vec![0; num_cores],
             usage: AddrMapUsage::default(),
         }
     }
 
     /// A compact copy of the map's complete state for prefix sharing: the
-    /// entry arena and capture slab without the index, which
-    /// [`AddrMap::restore`] re-derives from the arena. Only valid as a
-    /// `restore` argument.
-    pub fn snapshot(&self) -> AddrMap {
+    /// entry arena (packed) and capture slab in shared pieces, without the
+    /// index,
+    /// which [`AddrMap::restore`] re-derives from the arena. Chunks equal
+    /// to those of `prev` — an earlier snapshot of the same run — share
+    /// their allocation. Only valid as a `restore` argument (or as a
+    /// later snapshot's `prev`).
+    pub fn snapshot(&self, prev: Option<&AddrMap>) -> AddrMap {
+        let prev = prev.and_then(|p| p.frozen.as_deref());
+        let frozen = FrozenArena {
+            entries: freeze_entries(&self.entries, prev.map_or(&[], |p| &p.entries)),
+            words: freeze_words(&self.captures.words, prev.map_or(&[], |p| &p.words)),
+            free: self.captures.free.clone(),
+        };
         AddrMap {
             cfg: self.cfg,
             slots: Vec::new(),
-            entries: self.entries.clone(),
-            captures: self.captures.clone(),
+            entries: Vec::new(),
+            captures: Captures::default(),
+            frozen: Some(Box::new(frozen)),
             live_per_core: self.live_per_core.clone(),
             usage: self.usage,
         }
@@ -475,10 +600,18 @@ impl AddrMap {
     /// rebuilds the index at the size the map's own growth would have
     /// reached for that many entries (the index size is a host detail —
     /// no reader depends on it). Reuses this map's storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `snap` is not a snapshot.
     pub fn restore(&mut self, snap: &AddrMap) {
+        let frozen = snap.frozen.as_deref().expect("restore takes a snapshot");
         self.cfg = snap.cfg;
-        self.entries.clone_from(&snap.entries);
-        self.captures.restore(&snap.captures);
+        self.entries.clear();
+        for block in &frozen.entries {
+            block.unpack_into(&mut self.entries);
+        }
+        self.captures.thaw(frozen);
         self.live_per_core.clone_from(&snap.live_per_core);
         self.usage = snap.usage;
         let mut len = INITIAL_SLOTS;
@@ -1043,13 +1176,21 @@ mod tests {
             );
         }
         m.record_store(0, wa(4), 3);
-        let snap = m.snapshot();
-        assert!(snap.slots.is_empty());
+        // A history longer than the inline versions.
+        for e in 0..6u64 {
+            if e % 2 == 0 {
+                m.record_assoc(0, wa(300), e, SliceId(e as u32), &[e]);
+            } else {
+                m.record_store(0, wa(300), e);
+            }
+        }
+        let snap = m.snapshot(None);
+        assert!(snap.slots.is_empty() && snap.entries.is_empty());
         let mut w = map(100);
         w.record_assoc(1, wa(999), 0, SliceId(9), &[9]);
         w.restore(&snap);
-        for i in 0..200u64 {
-            for e in 0..6 {
+        for i in (0..200u64).chain([300]) {
+            for e in 0..7 {
                 assert_eq!(
                     w.classify_for_epoch(wa(i), e),
                     m.classify_for_epoch(wa(i), e)
@@ -1060,6 +1201,42 @@ mod tests {
         assert_eq!(w.classify_for_epoch(wa(999), 1), AssocState::Absent);
         assert_eq!(w.slots.len(), m.slots.len(), "index sized as growth would");
         assert_eq!((w.live(0), w.live(1)), (m.live(0), m.live(1)));
+        assert_eq!(w.usage(), m.usage());
+    }
+
+    #[test]
+    fn snapshots_share_unchanged_chunks_with_an_earlier_one() {
+        let mut m = map(1000);
+        for i in 0..100u64 {
+            m.record_assoc(0, wa(i), 0, SliceId(i as u32), &[i; 3]);
+        }
+        let first = m.snapshot(None);
+        // Touch one entry in the second arena chunk and add new ones.
+        m.record_store(0, wa(20), 1);
+        for i in 100..120u64 {
+            m.record_assoc(1, wa(i), 1, SliceId(7), &[i]);
+        }
+        let second = m.snapshot(Some(&first));
+        let (a, b) = (
+            first.frozen.as_deref().unwrap(),
+            second.frozen.as_deref().unwrap(),
+        );
+        for (i, (x, y)) in a.entries.iter().zip(&b.entries).enumerate() {
+            assert_eq!(Arc::ptr_eq(x, y), i != 1 && i != 6, "entry chunk {i}");
+        }
+        assert!(Arc::ptr_eq(&a.words[0], &b.words[0]), "captures unchanged");
+        // Sharing changes nothing a restored map answers.
+        let mut w = map(1000);
+        w.restore(&second);
+        for i in 0..130u64 {
+            for e in 0..3 {
+                assert_eq!(w.lookup_for_epoch(wa(i), e), m.lookup_for_epoch(wa(i), e));
+                assert_eq!(
+                    w.classify_for_epoch(wa(i), e),
+                    m.classify_for_epoch(wa(i), e)
+                );
+            }
+        }
         assert_eq!(w.usage(), m.usage());
     }
 

@@ -108,6 +108,20 @@ impl AcrPolicy {
     pub fn addr_map(&self) -> &AddrMap {
         &self.map
     }
+
+    /// A snapshot for [`OmissionPolicy::fork`], its `AddrMap` arena
+    /// sharing unchanged chunks with `prev`'s.
+    fn forked(&self, prev: Option<&Self>) -> Self {
+        AcrPolicy {
+            slices: Arc::clone(&self.slices),
+            map: self.map.snapshot(prev.map(|p| &p.map)),
+            stats: self.stats,
+            assoc_extra_cycles: self.assoc_extra_cycles,
+            scratchpad: self.scratchpad,
+            rejected_pcs: self.rejected_pcs.clone(),
+            generations: self.generations,
+        }
+    }
 }
 
 impl OmissionPolicy for AcrPolicy {
@@ -212,15 +226,11 @@ impl OmissionPolicy for AcrPolicy {
     }
 
     fn fork(&self) -> Option<Self> {
-        Some(AcrPolicy {
-            slices: Arc::clone(&self.slices),
-            map: self.map.snapshot(),
-            stats: self.stats,
-            assoc_extra_cycles: self.assoc_extra_cycles,
-            scratchpad: self.scratchpad,
-            rejected_pcs: self.rejected_pcs.clone(),
-            generations: self.generations,
-        })
+        Some(self.forked(None))
+    }
+
+    fn fork_sharing(&self, prev: &Self) -> Option<Self> {
+        Some(self.forked(Some(prev)))
     }
 
     fn restore(&mut self, snapshot: &Self) {

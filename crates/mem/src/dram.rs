@@ -64,28 +64,85 @@ impl MemImage {
         self.words.clone()
     }
 
-    /// A full snapshot in a shared allocation, so the checkpoint records
-    /// and engine snapshots that hold the same image hold it once.
-    /// `spare` — a retired snapshot — is overwritten in place when nothing
-    /// else shares it, sparing an allocation.
-    pub fn shared_snapshot(&self, spare: Option<Arc<[u64]>>) -> Arc<[u64]> {
-        if let Some(mut buf) = spare {
-            if let Some(words) = Arc::get_mut(&mut buf).filter(|w| w.len() == self.words.len()) {
-                words.copy_from_slice(&self.words);
-                return buf;
-            }
+    /// A frozen copy of the image in [`CHUNK_WORDS`]-word chunks. Every
+    /// chunk equal to the same chunk of `prev` — typically the snapshot
+    /// taken one checkpoint earlier — shares that chunk's allocation, so
+    /// snapshots of a slowly changing image cost only the chunks that
+    /// changed. The image itself stays one flat array: stores pay nothing
+    /// for this.
+    pub fn shared_snapshot(&self, prev: Option<&ImageSnapshot>) -> ImageSnapshot {
+        let prev = prev.filter(|p| p.len == self.words.len());
+        let chunks = self
+            .words
+            .chunks(CHUNK_WORDS)
+            .enumerate()
+            .map(|(i, words)| match prev.map(|p| &p.chunks[i]) {
+                Some(old) if old[..] == *words => Arc::clone(old),
+                _ => Arc::from(words),
+            })
+            .collect();
+        ImageSnapshot {
+            chunks,
+            len: self.words.len(),
         }
-        Arc::from(self.words.as_slice())
     }
 
-    /// Overwrites the image with `words` (same size).
-    pub fn restore(&mut self, words: &[u64]) {
-        self.words.copy_from_slice(words);
+    /// Overwrites the image with `snap` (same size).
+    pub fn restore(&mut self, snap: &ImageSnapshot) {
+        assert_eq!(snap.len, self.words.len(), "snapshot of another image");
+        for (dst, chunk) in self.words.chunks_mut(CHUNK_WORDS).zip(&snap.chunks) {
+            dst.copy_from_slice(chunk);
+        }
     }
 
     /// Raw word view.
     pub fn words(&self) -> &[u64] {
         &self.words
+    }
+}
+
+/// Words per chunk of an [`ImageSnapshot`] (512 B).
+pub const CHUNK_WORDS: usize = 64;
+
+/// A frozen copy of a [`MemImage`] ([`MemImage::shared_snapshot`]): the
+/// words in fixed-size chunks of [`CHUNK_WORDS`] (the last one may be
+/// shorter), each in its own shared allocation. Snapshots taken from the
+/// same image share every chunk that did not change between them, and
+/// cloning one copies only the chunk pointers.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ImageSnapshot {
+    chunks: Vec<Arc<[u64]>>,
+    len: usize,
+}
+
+impl ImageSnapshot {
+    /// The word at index `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of bounds.
+    pub fn word(&self, i: usize) -> u64 {
+        self.chunks[i / CHUNK_WORDS][i % CHUNK_WORDS]
+    }
+
+    /// Number of word positions at which `words` differs from the
+    /// snapshot (positions past the shorter of the two are not counted).
+    pub fn count_differing(&self, words: &[u64]) -> u64 {
+        self.chunks
+            .iter()
+            .zip(words.chunks(CHUNK_WORDS))
+            .map(|(c, w)| c.iter().zip(w).filter(|(a, b)| a != b).count() as u64)
+            .sum()
+    }
+
+    /// Whether `words` holds exactly the snapshot's words.
+    pub fn matches(&self, words: &[u64]) -> bool {
+        words.len() == self.len
+            && self
+                .chunks
+                .iter()
+                .zip(words.chunks(CHUNK_WORDS))
+                .all(|(c, w)| c[..] == *w)
     }
 }
 
@@ -140,6 +197,62 @@ mod tests {
         let m = MemImage::new(65); // 2 lines
         assert_eq!(m.num_lines(), 2);
         assert_eq!(m.num_words(), 16);
+    }
+
+    fn image_with(words: &[(usize, u64)]) -> MemImage {
+        let mut m = MemImage::new(64 * 1000 + 64); // 8008 words: a short last chunk
+        for &(i, v) in words {
+            m.write(WordAddr::new(i as u64 * 8), v);
+        }
+        m
+    }
+
+    #[test]
+    fn chunked_snapshot_reads_back_the_flat_image() {
+        let m = image_with(&[(0, 1), (63, 2), (64, 3), (8007, 4)]);
+        let snap = m.shared_snapshot(None);
+        assert_eq!(snap.len, m.num_words());
+        assert_eq!(snap.chunks.len(), m.num_words().div_ceil(CHUNK_WORDS));
+        assert_eq!(snap.chunks.concat(), m.words());
+        assert!(snap.matches(m.words()));
+        assert_eq!(snap.word(8007), 4);
+        let mut back = MemImage::new(64 * 1000 + 64);
+        back.restore(&snap);
+        assert_eq!(back, m);
+    }
+
+    #[test]
+    fn unchanged_chunks_share_the_previous_snapshots_allocation() {
+        let mut m = image_with(&[(5, 1)]);
+        let first = m.shared_snapshot(None);
+        m.write(WordAddr::new(70 * 8), 9); // chunk 1
+        m.write(WordAddr::new(8007 * 8), 9); // the short last chunk
+        let second = m.shared_snapshot(Some(&first));
+        assert_eq!(second.chunks.concat(), m.words());
+        let last = first.chunks.len() - 1;
+        for (i, (a, b)) in first.chunks.iter().zip(&second.chunks).enumerate() {
+            assert_eq!(Arc::ptr_eq(a, b), i != 1 && i != last, "chunk {i}");
+        }
+        // A snapshot of another size shares nothing and still reads back.
+        let other = MemImage::new(4096).shared_snapshot(Some(&second));
+        assert!(other.chunks.concat().iter().all(|&w| w == 0));
+    }
+
+    #[test]
+    fn differing_words_count_the_same_as_a_flat_compare() {
+        let reference = image_with(&[(1, 1), (100, 2), (8000, 3)]);
+        let shadow = reference.shared_snapshot(None);
+        let got = image_with(&[(1, 1), (100, 7), (101, 1), (8000, 3), (8007, 5)]);
+        let flat = got
+            .words()
+            .iter()
+            .zip(reference.words())
+            .filter(|(a, b)| a != b)
+            .count() as u64;
+        assert_eq!(flat, 3);
+        assert_eq!(shadow.count_differing(got.words()), flat);
+        assert!(!shadow.matches(got.words()));
+        assert_eq!(shadow.count_differing(reference.words()), 0);
     }
 
     #[test]

@@ -38,6 +38,7 @@ mod system;
 
 pub use addr::{LineAddr, WordAddr, LINE_BYTES, WORDS_PER_LINE};
 pub use dir::MAX_CORES;
+pub use dram::{ImageSnapshot, CHUNK_WORDS};
 pub use log::{record_check, LogController, LogEpoch, LogRecord, OmittedRecord, LOG_RECORD_BYTES};
 pub use stats::MemStats;
 pub use system::{AccessKind, CoreId, FlushStats, MemConfig, MemSnapshot, MemSystem};

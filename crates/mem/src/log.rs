@@ -15,6 +15,7 @@
 //! that recovery resolves through the `AddrMap`.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use acr_trace::Fnv1a;
 
@@ -144,8 +145,10 @@ pub struct LogController {
     /// Completed epochs, most recent last. At most `retained` are kept —
     /// the paper shows two most recent checkpoints suffice when detection
     /// latency ≤ period; torn-recovery resilience retains more so a
-    /// corrupted generation can fall back to an older one.
-    completed: VecDeque<LogEpoch>,
+    /// corrupted generation can fall back to an older one. A sealed epoch
+    /// never changes except under local rollback, so clones of the
+    /// controller (engine snapshots) share them.
+    completed: VecDeque<Arc<LogEpoch>>,
     /// Completed epochs to retain (defaults to [`LogController::RETAINED`]).
     retained: usize,
     /// Lifetime count of log records written (records; monotonic — never
@@ -212,7 +215,7 @@ impl LogController {
 
     /// Completed retained epochs, oldest first.
     pub fn completed(&self) -> impl Iterator<Item = &LogEpoch> {
-        self.completed.iter()
+        self.completed.iter().map(|e| &**e)
     }
 
     /// Looks up a retained epoch (completed or current) by index.
@@ -220,7 +223,7 @@ impl LogController {
         if self.current.index == index {
             Some(&self.current)
         } else {
-            self.completed.iter().find(|e| e.index == index)
+            self.completed().find(|e| e.index == index)
         }
     }
 
@@ -286,7 +289,7 @@ impl LogController {
     pub fn seal_epoch(&mut self) -> &LogEpoch {
         let next = LogEpoch::new(self.current.index + 1);
         let sealed = std::mem::replace(&mut self.current, next);
-        self.completed.push_back(sealed);
+        self.completed.push_back(Arc::new(sealed));
         while self.completed.len() > self.retained {
             self.completed.pop_front();
         }
@@ -311,7 +314,8 @@ impl LogController {
         undone.push(cur);
         while let Some(back) = self.completed.back() {
             if back.index >= safe_epoch {
-                undone.push(self.completed.pop_back().expect("back exists"));
+                let back = self.completed.pop_back().expect("back exists");
+                undone.push(Arc::unwrap_or_clone(back));
             } else {
                 break;
             }
@@ -342,10 +346,13 @@ impl LogController {
             let epoch = if self.current.index == idx {
                 &mut self.current
             } else {
-                self.completed
-                    .iter_mut()
-                    .find(|e| e.index == idx)
-                    .expect("index came from the deque")
+                // Copy-on-write: a snapshot sharing this epoch keeps it.
+                Arc::make_mut(
+                    self.completed
+                        .iter_mut()
+                        .find(|e| e.index == idx)
+                        .expect("index came from the deque"),
+                )
             };
             let mut sub = LogEpoch::new(idx);
             let mut keep_r = Vec::with_capacity(epoch.records.len());
@@ -478,6 +485,25 @@ mod tests {
         // Victim's current-epoch word is re-loggable; non-victim's is not.
         assert!(!lc.is_logged(wa(4)));
         assert!(lc.is_logged(wa(3)));
+    }
+
+    #[test]
+    fn rollback_victims_leaves_a_snapshots_epochs_intact() {
+        let mut lc = LogController::new(1024);
+        lc.log_value(wa(1), 11, 0);
+        lc.log_value(wa(2), 22, 1);
+        lc.seal_epoch();
+        lc.omit_value(wa(3), 33, 1);
+        lc.seal_epoch();
+        let snap = lc.clone();
+        let sealed: Vec<LogEpoch> = snap.completed().cloned().collect();
+        lc.rollback_victims(0, 0b10);
+        // The live controller lost core 1's entries; the snapshot did not.
+        assert_eq!(lc.epoch(0).unwrap().records.len(), 1);
+        assert!(lc.epoch(1).unwrap().omitted.is_empty());
+        assert_eq!(snap.completed().cloned().collect::<Vec<_>>(), sealed);
+        assert_eq!(snap.epoch(0).unwrap().records.len(), 2);
+        assert_eq!(snap.epoch(1).unwrap().omitted.len(), 1);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use crate::addr::{LineAddr, WordAddr, LINE_BYTES};
 use crate::cache::{Cache, CacheConfig, CacheSnapshot, LookupResult};
 use crate::dir::{DirState, Directory};
-use crate::dram::{DramConfig, MemImage};
+use crate::dram::{DramConfig, ImageSnapshot, MemImage};
 use crate::sharing::SharingTracker;
 use crate::stats::MemStats;
 use acr_trace::{SharedSink, TraceEvent, TRACK_MEM};
@@ -521,16 +521,16 @@ impl MemSystem {
     /// The trace sink is not part of the state: it stays attached to the
     /// memory system a snapshot is restored into.
     ///
-    /// `image` is a shared copy of the functional image the caller already
+    /// `image` is a frozen copy of the functional image the caller already
     /// holds (an oracle shadow taken at the same instant); pass `None` to
     /// take a fresh one.
     ///
     /// # Panics
     ///
     /// Panics (debug) if `image` differs from the current image.
-    pub fn snapshot(&self, image: Option<Arc<[u64]>>) -> MemSnapshot {
-        let image = image.unwrap_or_else(|| self.image.shared_snapshot(None));
-        debug_assert_eq!(&*image, self.image.words(), "stale shared image");
+    pub fn snapshot(&self, image: Option<Arc<ImageSnapshot>>) -> MemSnapshot {
+        let image = image.unwrap_or_else(|| Arc::new(self.image.shared_snapshot(None)));
+        debug_assert!(image.matches(self.image.words()), "stale shared image");
         MemSnapshot {
             image,
             l1d: self.l1d.iter().map(Cache::snapshot).collect(),
@@ -562,11 +562,11 @@ impl MemSystem {
 }
 
 /// A [`MemSystem`]'s state as captured by [`MemSystem::snapshot`]: the
-/// functional image in a shared allocation, each cache's occupied ways,
+/// functional image as shared chunks, each cache's occupied ways,
 /// the directory, statistics and sharing tracker.
 #[derive(Debug, Clone)]
 pub struct MemSnapshot {
-    image: Arc<[u64]>,
+    image: Arc<ImageSnapshot>,
     l1d: Vec<CacheSnapshot>,
     l2: Vec<CacheSnapshot>,
     dir: Directory,

@@ -5,7 +5,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use acr_isa::{Instr, Program};
-use acr_mem::{CoreId, MemSnapshot, MemSystem, MAX_CORES};
+use acr_mem::{CoreId, ImageSnapshot, MemSnapshot, MemSystem, MAX_CORES};
 use acr_trace::{MetricsRegistry, Sampler, SharedSink, TimeSeries, TraceEvent, TRACK_ENGINE};
 
 use crate::config::MachineConfig;
@@ -310,9 +310,9 @@ impl<'p> Machine<'p> {
     /// snapshot is restored into, so a forked run keeps feeding the same
     /// sink.
     ///
-    /// `image` optionally supplies a shared copy of the current memory
+    /// `image` optionally supplies a frozen copy of the current memory
     /// image (see [`MemSystem::snapshot`]).
-    pub fn save_state(&self, image: Option<Arc<[u64]>>) -> MachineState {
+    pub fn save_state(&self, image: Option<Arc<ImageSnapshot>>) -> MachineState {
         MachineState {
             cores: self.cores.clone(),
             mem: self.mem.snapshot(image),

@@ -49,6 +49,35 @@ use acr_trace::{
 };
 use acr_workloads::{generate, Benchmark, WorkloadConfig};
 
+/// `println!` through [`write_stdout`]: every stdout line of this program
+/// is written with it.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// The one stdout writer. When the reader goes away (`acr_cli … | head
+/// -1`), writes fail with `BrokenPipe`; those are dropped, so the command
+/// still runs to its end and exits with its own status instead of
+/// panicking. Any other write error panics, as `println!` does.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        assert!(
+            e.kind() == std::io::ErrorKind::BrokenPipe,
+            "failed printing to stdout: {e}"
+        );
+    }
+}
+
 /// Every knob of every subcommand, held once. Each subcommand starts from
 /// its own defaults ([`Subcommand::defaults`]); the base values below are
 /// `inject`'s.
@@ -622,7 +651,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
     Subcommand { name: "workloads", operands: "", about: "list the bundled workloads",
         defaults: CliArgs::default, flags: &[], run: |_, _| workloads_list() },
     Subcommand { name: "help", operands: "", about: "show this message",
-        defaults: CliArgs::default, flags: &[], run: |_, _| { print!("{}", usage()); Ok(ExitCode::SUCCESS) } },
+        defaults: CliArgs::default, flags: &[], run: |_, _| { out!("{}", usage()); Ok(ExitCode::SUCCESS) } },
 ];
 
 impl Subcommand {
@@ -996,21 +1025,22 @@ fn inject(a: CliArgs) -> Result<ExitCode, String> {
         host.add_phase_ns(&name, o.host_ns);
         digest.fold(&name, &run, &mut merged);
 
-        println!("== {} ({}) ==", name, run.label);
+        outln!("== {} ({}) ==", name, run.label);
         if a.progress {
-            print!("{}", r.case_log);
+            out!("{}", r.case_log);
         }
-        print!("{}", r.summary());
-        println!(
+        out!("{}", r.summary());
+        outln!(
             "  recovery energy {:.6e} J over {:.6e} s",
-            run.recovery_energy_joules, run.recovery_seconds
+            run.recovery_energy_joules,
+            run.recovery_seconds
         );
         for c in r
             .cases
             .iter()
             .filter(|c| c.outcome == CaseOutcome::Diverged)
         {
-            println!(
+            outln!(
                 "  case {}: fault landed at cycle {}, recovery stalled {} cycles \
                  ({} words still divergent)",
                 c.case,
@@ -1026,7 +1056,7 @@ fn inject(a: CliArgs) -> Result<ExitCode, String> {
                 b.repro = repro_line(&a);
                 let path = format!("{dir}/postmortem.{name}.case{:04}.json", b.case);
                 std::fs::write(&path, b.to_json()).map_err(|e| format!("{path}: {e}"))?;
-                println!("  postmortem -> {path}");
+                outln!("  postmortem -> {path}");
             }
         }
         if a.metrics_out.is_some() {
@@ -1054,25 +1084,28 @@ fn inject(a: CliArgs) -> Result<ExitCode, String> {
         if let Some(dir) = &a.csv_dir {
             let path = format!("{dir}/{name}.csv");
             std::fs::write(&path, r.csv()).map_err(|e| format!("{path}: {e}"))?;
-            println!("  cases written to {path}");
+            outln!("  cases written to {path}");
         }
     }
 
-    println!("== campaign total ==");
-    println!(
+    outln!("== campaign total ==");
+    outln!(
         "  injected {injected}  detected {detected}  recovered {recovered}  \
          diverged {diverged}  aborted {aborted}"
     );
-    println!(
+    outln!(
         "  outcome classes: recovered {}  due {}  sdc {}  hang {}",
-        classes.0, classes.1, classes.2, classes.3
+        classes.0,
+        classes.1,
+        classes.2,
+        classes.3
     );
-    println!(
+    outln!(
         "  state-divergence count {divergent_words}  recovery cycles {recovery_cycles}  \
          recovery energy {recovery_energy:.6e} J"
     );
     if a.recovery_faults {
-        println!(
+        outln!(
             "  escalation total: replay_retries {replay_retries}  \
              generation_fallbacks {generation_fallbacks}  \
              degraded_entries {degraded_entries}"
@@ -1080,16 +1113,16 @@ fn inject(a: CliArgs) -> Result<ExitCode, String> {
     }
     if let Some(path) = &a.metrics_out {
         std::fs::write(path, &metrics_jsonl).map_err(|e| format!("{path}: {e}"))?;
-        println!(
+        outln!(
             "  baseline metrics written to {path} (every {} cycles)",
             a.sample_interval
         );
     }
-    println!("  combined hash {:#018x}", digest.combined());
+    outln!("  combined hash {:#018x}", digest.combined());
     if a.print_metrics {
         let pairs: Vec<(String, u64)> = merged.iter().map(|(k, v)| (k.to_owned(), v)).collect();
-        println!("  merged metrics ({} keys):", pairs.len());
-        print!("{}", metrics_table(&pairs));
+        outln!("  merged metrics ({} keys):", pairs.len());
+        out!("{}", metrics_table(&pairs));
     }
     if let Some(path) = &a.manifest_out {
         let wall = host.wall_ns();
@@ -1108,7 +1141,7 @@ fn inject(a: CliArgs) -> Result<ExitCode, String> {
             bench: None,
         };
         write_manifest(path, &m)?;
-        println!("  manifest -> {path}");
+        outln!("  manifest -> {path}");
     }
     Ok(if diverged > 0 || aborted > 0 {
         ExitCode::from(1)
@@ -1186,7 +1219,7 @@ fn soak(a: CliArgs) -> Result<ExitCode, String> {
         ..CampaignConfig::default()
     };
     let mut exps = soak_experiments(&a)?;
-    println!(
+    outln!(
         "== soak: {} combos x {} cases/chunk, seed {} ==",
         grid.combos.len(),
         a.chunk,
@@ -1194,7 +1227,7 @@ fn soak(a: CliArgs) -> Result<ExitCode, String> {
     );
     if cursor.chunks_done > 0 {
         let (done, ..) = cursor.totals();
-        println!(
+        outln!(
             "  resuming at chunk {} ({done} cases on the books)",
             cursor.chunks_done
         );
@@ -1227,12 +1260,13 @@ fn soak(a: CliArgs) -> Result<ExitCode, String> {
     )
     .map_err(|e| e.to_string())?;
 
-    print!("{}", out.log);
-    println!(
+    out!("{}", out.log);
+    outln!(
         "== soak matrix ({} chunks total, {} this run) ==",
-        out.cursor.chunks_done, out.chunks_run
+        out.cursor.chunks_done,
+        out.chunks_run
     );
-    print!("{}", out.cursor.matrix());
+    out!("{}", out.cursor.matrix());
     if let Some(dir) = &a.postmortem_dir {
         for pm in &out.postmortems {
             let mut b = pm.bundle.clone();
@@ -1244,21 +1278,21 @@ fn soak(a: CliArgs) -> Result<ExitCode, String> {
             );
             std::fs::write(&path, b.to_json()).map_err(|e| format!("{path}: {e}"))?;
         }
-        println!("  {} postmortems -> {dir}", out.postmortems.len());
+        outln!("  {} postmortems -> {dir}", out.postmortems.len());
     }
     if a.print_metrics {
         let pairs: Vec<(String, u64)> =
             out.metrics.iter().map(|(k, v)| (k.to_owned(), v)).collect();
-        println!("  soak metrics ({} keys):", pairs.len());
-        print!("{}", metrics_table(&pairs));
+        outln!("  soak metrics ({} keys):", pairs.len());
+        out!("{}", metrics_table(&pairs));
     }
     if let Some(path) = &a.cursor {
         std::fs::write(path, out.cursor.to_json()).map_err(|e| format!("{path}: {e}"))?;
-        println!("  cursor -> {path}");
+        outln!("  cursor -> {path}");
     }
     let (_, _, _, sdc, _) = out.cursor.totals();
     if sdc > 0 {
-        println!("  SILENT DATA CORRUPTION: {sdc} case(s) — triage the postmortems");
+        outln!("  SILENT DATA CORRUPTION: {sdc} case(s) — triage the postmortems");
         Ok(ExitCode::from(1))
     } else {
         Ok(ExitCode::SUCCESS)
@@ -1355,7 +1389,7 @@ fn shrink_replay(path: &str) -> Result<ExitCode, String> {
         f.check(a.threads, mem_bytes)
             .map_err(|e| format!("{path}: faults[{i}]: {e}"))?;
     }
-    println!(
+    outln!(
         "== replay: {} case {:04}, {} fault(s) ==",
         workload.name(),
         a.case,
@@ -1366,16 +1400,16 @@ fn shrink_replay(path: &str) -> Result<ExitCode, String> {
         .map_err(|e| e.to_string())?
     {
         Some(failure) => {
-            println!(
+            outln!(
                 "  reproduced: trigger {} (recorded {})",
                 failure.trigger,
                 jstr(&j, "trigger")
             );
-            println!("  probable cause: {}", failure.bundle.probable_cause);
+            outln!("  probable cause: {}", failure.bundle.probable_cause);
             Ok(ExitCode::from(1))
         }
         None => {
-            println!("  did not reproduce: the plan no longer fails");
+            outln!("  did not reproduce: the plan no longer fails");
             Ok(ExitCode::SUCCESS)
         }
     }
@@ -1391,7 +1425,7 @@ fn shrink(a: CliArgs) -> Result<ExitCode, String> {
     let faults = exp
         .plan_dense_faults(&cfg, a.amnesic)
         .map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "== shrink: {} case {:04}, {} planned fault(s) ==",
         workload.name(),
         a.case,
@@ -1409,7 +1443,7 @@ fn shrink(a: CliArgs) -> Result<ExitCode, String> {
             },
         )
         .map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "  {} fault(s) -> {} ({} dropped, {} field(s) narrowed) in {} round(s), \
          {} evaluation(s)",
         out.original_faults,
@@ -1419,11 +1453,18 @@ fn shrink(a: CliArgs) -> Result<ExitCode, String> {
         out.rounds,
         out.evaluations
     );
-    println!("  trigger {}", out.failure.trigger);
-    println!("  probable cause: {}", out.failure.bundle.probable_cause);
-    println!("  minimal plan:");
+    outln!(
+        "  forked {} evaluation(s) from commit snapshots, skipping {} fault-free \
+         instruction(s); {} snapshot build(s)",
+        out.fork.forked_evaluations,
+        out.fork.prefix_instructions_skipped,
+        out.fork.snapshot_builds
+    );
+    outln!("  trigger {}", out.failure.trigger);
+    outln!("  probable cause: {}", out.failure.bundle.probable_cause);
+    outln!("  minimal plan:");
     for f in &out.minimal {
-        println!("    {}", fault_to_json(f));
+        outln!("    {}", fault_to_json(f));
     }
     let out_path = a
         .out
@@ -1431,8 +1472,8 @@ fn shrink(a: CliArgs) -> Result<ExitCode, String> {
         .unwrap_or_else(|| format!("repro.{}.case{:04}.json", workload.name(), a.case));
     std::fs::write(&out_path, repro_doc(&a, workload, &out))
         .map_err(|e| format!("{out_path}: {e}"))?;
-    println!("  repro -> {out_path}");
-    println!("  replay: acr_cli shrink --replay {out_path}");
+    outln!("  repro -> {out_path}");
+    outln!("  replay: acr_cli shrink --replay {out_path}");
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1536,7 +1577,7 @@ fn trace(a: CliArgs) -> Result<ExitCode, String> {
         std::fs::write(&out_path, &json).map_err(|e| format!("{out_path}: {e}"))?;
         sim_hashes.push((name.clone(), fnv1a(json.as_bytes())));
 
-        println!(
+        outln!(
             "traced {} ({}): {} cycles, {} checkpoints, {} faults injected, {} recoveries",
             name,
             result.label,
@@ -1547,13 +1588,15 @@ fn trace(a: CliArgs) -> Result<ExitCode, String> {
         );
         for (i, rec) in report.recoveries.iter().enumerate() {
             let landed = report.fault_landing_cycles.get(i).copied().unwrap_or(0);
-            println!(
+            outln!(
                 "  recovery {i}: fault landed at cycle {landed}, detected at cycle {}, \
                  stalled {} cycles ({} values recomputed by Slice replay)",
-                rec.detected_at_cycles, rec.stall_cycles, rec.recomputed_values
+                rec.detected_at_cycles,
+                rec.stall_cycles,
+                rec.recomputed_values
             );
         }
-        println!(
+        outln!(
             "  {} trace events + {} metric samples (every {} cycles) -> {}",
             run.events.len(),
             report.series.samples().len(),
@@ -1562,8 +1605,8 @@ fn trace(a: CliArgs) -> Result<ExitCode, String> {
         );
         if a.print_metrics {
             if let Some(sample) = report.series.samples().last() {
-                println!("  final metrics sample (cycle {}):", sample.cycle);
-                print!("{}", metrics_table(&sample.values));
+                outln!("  final metrics sample (cycle {}):", sample.cycle);
+                out!("{}", metrics_table(&sample.values));
             }
         }
         let jsonl = report
@@ -1577,7 +1620,7 @@ fn trace(a: CliArgs) -> Result<ExitCode, String> {
                 path.clone()
             };
             std::fs::write(&path, jsonl).map_err(|e| format!("{path}: {e}"))?;
-            println!("  metrics samples -> {path}");
+            outln!("  metrics samples -> {path}");
         }
     }
     if let Some(path) = &a.manifest_out {
@@ -1600,7 +1643,7 @@ fn trace(a: CliArgs) -> Result<ExitCode, String> {
             bench: None,
         };
         write_manifest(path, &m)?;
-        println!("manifest -> {path}");
+        outln!("manifest -> {path}");
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -1769,7 +1812,7 @@ fn profile(a: CliArgs) -> Result<ExitCode, String> {
         metrics_digest.write(flame.as_bytes());
         metrics_digest.write(ledger_txt.as_bytes());
 
-        println!(
+        outln!(
             "profiled {} ({}): {} cycles, {} attribution sites, {} retires",
             name,
             result.label,
@@ -1778,8 +1821,8 @@ fn profile(a: CliArgs) -> Result<ExitCode, String> {
             prof.total_retires(),
         );
         let (p50, p90, p99) = prof.tick_histogram().digest();
-        println!("  retire ticks p50 {p50} p90 {p90} p99 {p99}");
-        println!(
+        outln!("  retire ticks p50 {p50} p90 {p90} p99 {p99}");
+        outln!(
             "  decisions {}: {} omitted, {} logged",
             ledger.total_decisions(),
             omitted,
@@ -1789,12 +1832,18 @@ fn profile(a: CliArgs) -> Result<ExitCode, String> {
         // Hottest sites by attributed ticks (ties broken by site order).
         let mut sites: Vec<_> = prof.iter().collect();
         sites.sort_by(|a, b| b.1.ticks.cmp(&a.1.ticks).then(a.0.cmp(b.0)));
-        println!(
+        outln!(
             "  {:<5} {:<10} {:<16} {:>9} {:>9} {:>8} {:>8}",
-            "core", "pc", "region", "retires", "ticks", "mem", "stall"
+            "core",
+            "pc",
+            "region",
+            "retires",
+            "ticks",
+            "mem",
+            "stall"
         );
         for ((core, pc), c) in sites.into_iter().take(a.top) {
-            println!(
+            outln!(
                 "  {core:<5} {:<10} {:<16} {:>9} {:>9} {:>8} {:>8}",
                 format!("0x{pc:x}"),
                 iprog.label_at(*core, *pc).unwrap_or("code"),
@@ -1804,8 +1853,8 @@ fn profile(a: CliArgs) -> Result<ExitCode, String> {
                 c.stall_ticks
             );
         }
-        println!("  flamegraph -> {flame_out}");
-        println!("  ledger -> {ledger_out}");
+        outln!("  flamegraph -> {flame_out}");
+        outln!("  ledger -> {ledger_out}");
 
         if let Some(path) = &a.trace_out {
             let path = if multi {
@@ -1836,7 +1885,7 @@ fn profile(a: CliArgs) -> Result<ExitCode, String> {
             );
             let json = chrome_trace_json(&recorded, Some(&report.series));
             std::fs::write(&path, &json).map_err(|e| format!("{path}: {e}"))?;
-            println!("  trace -> {path}");
+            outln!("  trace -> {path}");
         }
     }
     if let Some(path) = &a.manifest_out {
@@ -1856,7 +1905,7 @@ fn profile(a: CliArgs) -> Result<ExitCode, String> {
             bench: None,
         };
         write_manifest(path, &m)?;
-        println!("manifest -> {path}");
+        outln!("manifest -> {path}");
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -1879,7 +1928,7 @@ fn bench(a: CliArgs) -> Result<ExitCode, String> {
     let run_once = || run_items(&items);
 
     let mut host = HostPerf::start();
-    println!(
+    outln!(
         "benchmark {}: faults {} workloads {} jobs {} — {} warmup + {} timed reps",
         a.name,
         a.faults,
@@ -1905,7 +1954,7 @@ fn bench(a: CliArgs) -> Result<ExitCode, String> {
         let ns = sw.elapsed_ns();
         host.add_phase_ns("reps", ns);
         samples.push(ns);
-        println!(
+        outln!(
             "  rep {}/{}: {:.3} s  combined {:#018x}",
             rep + 1,
             a.reps,
@@ -1927,7 +1976,7 @@ fn bench(a: CliArgs) -> Result<ExitCode, String> {
     }
     let reference = reference.expect("--reps is positive");
     let stats = BenchStats::from_samples(&samples, u64::from(a.warmup));
-    println!(
+    outln!(
         "  median {:.3} s  mad {:.3} s  min {:.3} s",
         stats.median_ns as f64 / 1e9,
         stats.mad_ns as f64 / 1e9,
@@ -1962,7 +2011,7 @@ fn bench(a: CliArgs) -> Result<ExitCode, String> {
     } else {
         100.0 * (stats.median_ns as f64 - off.median_ns as f64) / off.median_ns as f64
     };
-    println!(
+    outln!(
         "  recorder overhead {overhead_pct:+.2}% (median {:.3} s on vs {:.3} s off; \
          hashes identical)",
         stats.median_ns as f64 / 1e9,
@@ -1990,10 +2039,10 @@ fn bench(a: CliArgs) -> Result<ExitCode, String> {
         .clone()
         .unwrap_or_else(|| format!("BENCH_{}.json", a.name));
     write_manifest(&out_path, &m)?;
-    println!("manifest -> {out_path}");
+    outln!("manifest -> {out_path}");
     if let Some(path) = &a.manifest_out {
         write_manifest(path, &m)?;
-        println!("manifest -> {path}");
+        outln!("manifest -> {path}");
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -2012,7 +2061,7 @@ fn diff(a: CliArgs, paths: &[String]) -> Result<ExitCode, String> {
     let baseline = read(&paths[0])?;
     let candidate = read(&paths[1])?;
     let report = diff_manifests(&baseline, &candidate, &a.diff);
-    print!("{}", report.render());
+    out!("{}", report.render());
     Ok(if report.failed() {
         ExitCode::from(1)
     } else {
@@ -2084,19 +2133,19 @@ fn explain(operands: &[String]) -> Result<ExitCode, String> {
     }
 
     let workload = jstr(&j, "workload");
-    println!(
+    outln!(
         "== postmortem: {} case {} — {} ==",
         if workload.is_empty() { "?" } else { workload },
         jnum(&j, "case"),
         jstr(&j, "trigger")
     );
-    println!(
+    outln!(
         "  seed {}  outcome {}",
         jnum(&j, "seed"),
         jstr(&j, "outcome")
     );
     if let Some(f) = j.get("fault") {
-        println!(
+        outln!(
             "  fault: {} ({}) on core {}, planned at progress {}, landed at cycle {}",
             jstr(f, "kind"),
             jstr(f, "detail"),
@@ -2106,17 +2155,17 @@ fn explain(operands: &[String]) -> Result<ExitCode, String> {
         );
     }
     match j.get("recovery_fault") {
-        Some(Json::Str(s)) => println!("  recovery fault: {s}"),
-        _ => println!("  recovery fault: none"),
+        Some(Json::Str(s)) => outln!("  recovery fault: {s}"),
+        _ => outln!("  recovery fault: none"),
     }
     if let Some(m) = j.get("machine") {
-        println!(
+        outln!(
             "  machine: {} cycles, {} retired, mem fnv {}",
             jnum(m, "cycles"),
             jnum(m, "final_retired"),
             jstr(m, "mem_fnv")
         );
-        println!(
+        outln!(
             "  divergence: {} mem, {} reg, {} shadow words",
             jnum(m, "mem_divergence"),
             jnum(m, "reg_divergence"),
@@ -2124,7 +2173,7 @@ fn explain(operands: &[String]) -> Result<ExitCode, String> {
         );
     }
     if let Some(l) = j.get("log") {
-        println!(
+        outln!(
             "  log: {} words logged, {} omitted over the case lifetime",
             jnum(l, "lifetime_logged"),
             jnum(l, "lifetime_omitted")
@@ -2134,13 +2183,13 @@ fn explain(operands: &[String]) -> Result<ExitCode, String> {
             .and_then(Json::as_arr)
             .unwrap_or_default();
         if !tail.is_empty() {
-            println!(
+            outln!(
                 "  interval tail (last {}, {} earlier dropped):",
                 tail.len(),
                 jnum(l, "intervals_dropped")
             );
             for iv in tail {
-                println!(
+                outln!(
                     "    epoch {:>4}: progress {} records {} omitted {} bytes {} stall {}",
                     jnum(iv, "epoch"),
                     jnum(iv, "progress"),
@@ -2153,10 +2202,10 @@ fn explain(operands: &[String]) -> Result<ExitCode, String> {
         }
     }
     if let Some(inv) = j.get("invariants") {
-        println!("  invariants: {} breaches", jnum(inv, "breaches"));
+        outln!("  invariants: {} breaches", jnum(inv, "breaches"));
         if let Some(Json::Obj(monitors)) = inv.get("monitors") {
             for (name, m) in monitors {
-                println!(
+                outln!(
                     "    {name:<24} {} checks, {} breaches",
                     jnum(m, "checks"),
                     jnum(m, "breaches")
@@ -2165,7 +2214,7 @@ fn explain(operands: &[String]) -> Result<ExitCode, String> {
         }
         if let Some(fb) = inv.get("first_breach") {
             if !matches!(fb, Json::Null) {
-                println!(
+                outln!(
                     "    first breach: {} at epoch {} cycle {}: {}",
                     jstr(fb, "monitor"),
                     jnum(fb, "epoch"),
@@ -2177,13 +2226,13 @@ fn explain(operands: &[String]) -> Result<ExitCode, String> {
     }
     if let Some(esc) = j.get("escalation") {
         let steps = esc.get("steps").and_then(Json::as_arr).unwrap_or_default();
-        println!(
+        outln!(
             "  escalation: {} recoveries, {} ladder exhaustions",
             steps.len(),
             jnum(esc, "exhausted")
         );
         for s in steps {
-            println!(
+            outln!(
                 "    detected at cycle {}: safe epoch {}, {} re-replays, \
                  {} generation fallbacks, degraded {}",
                 jnum(s, "detected_at_cycles"),
@@ -2196,7 +2245,7 @@ fn explain(operands: &[String]) -> Result<ExitCode, String> {
     }
     let rings = j.get("rings").and_then(Json::as_arr).unwrap_or_default();
     if rings.is_empty() {
-        println!("  timeline: no flight-recorder rings captured");
+        outln!("  timeline: no flight-recorder rings captured");
     } else {
         const SHOW: usize = 80;
         let (lines, dropped) = explain_timeline(rings);
@@ -2206,20 +2255,20 @@ fn explain(operands: &[String]) -> Result<ExitCode, String> {
         } else {
             String::new()
         };
-        println!(
+        outln!(
             "  timeline: {} events retained across {} rings \
              ({dropped} older events dropped){suffix}",
             lines.len(),
             rings.len()
         );
         for line in lines.iter().skip(skip) {
-            println!("    {line}");
+            outln!("    {line}");
         }
     }
-    println!("  probable cause: {}", jstr(&j, "probable_cause"));
+    outln!("  probable cause: {}", jstr(&j, "probable_cause"));
     let repro = jstr(&j, "repro");
     if !repro.is_empty() && repro != "?" {
-        println!("  repro: {repro}");
+        outln!("  repro: {repro}");
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -2231,7 +2280,7 @@ fn item_bench(name: &str) -> Benchmark {
 
 fn workloads_list() -> Result<ExitCode, String> {
     for b in Benchmark::ALL {
-        println!("{}", b.name());
+        outln!("{}", b.name());
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -2239,31 +2288,31 @@ fn workloads_list() -> Result<ExitCode, String> {
 /// Prints one configuration's time, energy, checkpoint and recovery
 /// figures, with overheads against `base` when given.
 fn print_result(label: &str, r: &RunResult, base: Option<&RunResult>) {
-    println!("--- {label} ---");
-    println!("  cycles          {:>14}", r.cycles);
-    println!("  time            {:>14.6} ms", r.seconds * 1e3);
-    println!(
+    outln!("--- {label} ---");
+    outln!("  cycles          {:>14}", r.cycles);
+    outln!("  time            {:>14.6} ms", r.seconds * 1e3);
+    outln!(
         "  energy          {:>14.6} mJ",
         r.energy.total_joules() * 1e3
     );
-    println!("  EDP             {:>14.6e} J*s", r.edp);
+    outln!("  EDP             {:>14.6e} J*s", r.edp);
     if let Some(b) = base {
-        println!(
+        outln!(
             "  time overhead   {:>13.2}% vs {}",
             r.time_overhead_pct(b),
             b.label
         );
-        println!(
+        outln!(
             "  energy overhead {:>13.2}% vs {}",
             r.energy_overhead_pct(b),
             b.label
         );
     }
     if let Some(rep) = &r.report {
-        println!("  checkpoints     {:>14}", rep.checkpoints_taken);
-        println!("  ckpt bytes      {:>14}", rep.total_checkpoint_bytes());
+        outln!("  checkpoints     {:>14}", rep.checkpoints_taken);
+        outln!("  ckpt bytes      {:>14}", rep.total_checkpoint_bytes());
         if rep.total_baseline_bytes() > rep.total_checkpoint_bytes() {
-            println!(
+            outln!(
                 "  size reduction  {:>13.2}% (max interval {:.2}%)",
                 rep.overall_reduction_pct(),
                 rep.max_interval_reduction_pct()
@@ -2272,21 +2321,25 @@ fn print_result(label: &str, r: &RunResult, base: Option<&RunResult>) {
         if rep.errors_handled > 0 {
             let recomputed: u64 = rep.recoveries.iter().map(|x| x.recomputed_values).sum();
             let waste: u64 = rep.recoveries.iter().map(|x| x.waste_cycles).sum();
-            println!("  errors handled  {:>14}", rep.errors_handled);
-            println!("  recomputed      {:>14}", recomputed);
-            println!("  wasted cycles   {:>14}", waste);
+            outln!("  errors handled  {:>14}", rep.errors_handled);
+            outln!("  recomputed      {:>14}", recomputed);
+            outln!("  wasted cycles   {:>14}", waste);
         }
         if rep.secondary_checkpoints > 0 {
-            println!(
+            outln!(
                 "  level-2 ckpts   {:>14} ({} B)",
-                rep.secondary_checkpoints, rep.secondary_bytes
+                rep.secondary_checkpoints,
+                rep.secondary_bytes
             );
         }
     }
     if let Some(a) = &r.acr {
-        println!(
+        outln!(
             "  AddrMap         {:>14} writes, {} reads, peak {} live, {} capacity drops",
-            a.addrmap_writes, a.addrmap_reads, a.addrmap_peak_live, a.capacity_rejections
+            a.addrmap_writes,
+            a.addrmap_reads,
+            a.addrmap_peak_live,
+            a.capacity_rejections
         );
     }
 }
@@ -2306,7 +2359,7 @@ fn experiment(a: CliArgs) -> Result<ExitCode, String> {
             seed: a.seed,
         },
     );
-    println!(
+    outln!(
         "workload {} — {} threads, {} static instrs, {} B image",
         bench,
         program.num_threads(),
@@ -2343,7 +2396,7 @@ fn experiment(a: CliArgs) -> Result<ExitCode, String> {
         let outcome = placement::tune(&mut exp, 4).map_err(err)?;
         print_result("ReCkpt (uniform)", &outcome.uniform, Some(&no));
         print_result("ReCkpt (adaptive placement)", &outcome.adaptive, Some(&no));
-        println!(
+        outln!(
             "adaptive placement: {:+.2}% bytes, {:+.2}% time vs uniform",
             outcome.bytes_improvement_pct(),
             outcome.time_improvement_pct()
@@ -2361,7 +2414,7 @@ fn experiment(a: CliArgs) -> Result<ExitCode, String> {
         // Show the baseline for context.
         let base = exp.run_ckpt(a.errors).map_err(err)?;
         print_result(&base.label, &base, Some(&no));
-        println!(
+        outln!(
             "ACR vs baseline: {:.2}% time, {:.2}% energy, {:.2}% EDP reduction",
             100.0 * (base.cycles as f64 - main.cycles as f64) / base.cycles as f64,
             100.0 * (base.energy.total_joules() - main.energy.total_joules())
@@ -2565,6 +2618,7 @@ mod tests {
             rounds: 1,
             evaluations: 2,
             narrowed_fields: 0,
+            fork: acr_ckpt::ForkStats::default(),
             metrics: MetricsRegistry::new(),
         };
         let doc = repro_doc(&a, Benchmark::Cg, &out);

@@ -246,3 +246,57 @@ fn help_lists_every_flag() {
         );
     }
 }
+
+/// Runs `acr_cli args` with a stdout whose read end is already closed, as
+/// under `acr_cli … | head -0`.
+fn acr_cli_into_closed_pipe(args: &[&str]) -> Output {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    Command::new(env!("CARGO_BIN_EXE_acr_cli"))
+        .args(args)
+        .stdout(writer)
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("acr_cli runs")
+        .wait_with_output()
+        .expect("acr_cli finishes")
+}
+
+#[test]
+fn a_closed_stdout_keeps_the_exit_status_and_never_panics() {
+    let out = acr_cli_into_closed_pipe(&["inject", "--seed", "42", "--faults", "200"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "inject: {stderr}");
+    assert!(!stderr.contains("panicked"), "inject: {stderr}");
+
+    // A postmortem bundle to explain: a forced-divergence campaign (exit 1).
+    let dir = format!("{}/closed-stdout-pm", env!("CARGO_TARGET_TMPDIR"));
+    let _ = std::fs::remove_dir_all(&dir);
+    let made = acr_cli(&[
+        "inject",
+        "--seed",
+        "42",
+        "--faults",
+        "30",
+        "--workloads",
+        "cg",
+        "--scale",
+        "0.03",
+        "--threads",
+        "2",
+        "--kinds",
+        "mem",
+        "--postmortem-dir",
+        &dir,
+    ]);
+    assert_eq!(made.status.code(), Some(1), "the campaign diverges");
+    let bundle = std::fs::read_dir(&dir)
+        .expect("bundles written")
+        .map(|e| e.expect("dir entry").path())
+        .find(|p| p.extension().is_some_and(|x| x == "json"))
+        .expect("a bundle");
+    let out = acr_cli_into_closed_pipe(&["explain", bundle.to_str().expect("utf-8 path")]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "explain: {stderr}");
+    assert!(!stderr.contains("panicked"), "explain: {stderr}");
+}

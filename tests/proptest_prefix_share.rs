@@ -9,6 +9,11 @@
 //! postmortem bundle — across fault kinds, storms, nested recovery
 //! faults, recorder on/off and worker counts.
 //!
+//! Shrink evaluations fork the same way, through one fork cache that
+//! builds missing commit snapshots on demand and keeps the most recently
+//! used ones: any sequence of plans evaluated through it must agree with
+//! fresh runs of each plan, record and postmortem bundle alike.
+//!
 //! The deterministic tests pin the fork-point rule at its edges, driving
 //! the engine's snapshot API directly: a fault exactly at a trigger (the
 //! checkpoint-first tie-break defers it past the commit), a trigger that
@@ -20,8 +25,9 @@ use std::sync::Arc;
 
 use acr::{AcrPolicy, AddrMapConfig, Experiment, ExperimentSpec};
 use acr_ckpt::{
-    run_campaign, uniform_points, BerConfig, BerEngine, BerReport, CampaignConfig, CampaignReport,
-    ErrorSchedule, OmissionPolicy, OmitReason, Recomputed, ResilienceConfig, Scheme,
+    dense_fault_plan, evaluate_plans, run_campaign, uniform_points, BerConfig, BerEngine,
+    BerReport, CampaignConfig, CampaignReport, ErrorSchedule, NoOmission, OmissionPolicy,
+    OmitReason, Recomputed, ResilienceConfig, Scheme,
 };
 use acr_isa::{AluOp, Program, ProgramBuilder, Reg, Slice, SliceId};
 use acr_mem::{CoreId, WordAddr};
@@ -198,6 +204,112 @@ fn forked_campaigns_match_fresh_campaigns_byte_for_byte() {
             );
             assert_identical(&forked, &fresh, &what);
         },
+    );
+}
+
+/// Evaluates `plans` of one case in order through one fork cache under
+/// `policy`, and fresh under the same policy declining to fork; asserts
+/// every record and postmortem bundle agree. Returns the plans that
+/// forked past the program start, and the snapshots built.
+fn shrink_evaluations_match<P, F>(
+    program: &Program,
+    machine: MachineConfig,
+    cfg: &CampaignConfig,
+    plans: &[Vec<Fault>],
+    policy: F,
+    what: &str,
+) -> (u64, u64)
+where
+    P: OmissionPolicy,
+    F: Fn() -> P + Sync,
+{
+    let (forked, stats) =
+        evaluate_plans(program, machine, cfg, 0, plans, &policy).expect("plans evaluate");
+    let (fresh, fresh_stats) = evaluate_plans(program, machine, cfg, 0, plans, || Fresh(policy()))
+        .expect("plans evaluate");
+    assert_eq!(
+        fresh_stats,
+        Default::default(),
+        "{what}: fresh runs fork nothing"
+    );
+    for (k, ((rec, bundle), (want, want_bundle))) in forked.iter().zip(&fresh).enumerate() {
+        assert_eq!(rec, want, "{what}: plan {k} record");
+        assert_eq!(
+            bundle.as_ref().map(|b| b.to_json()),
+            want_bundle.as_ref().map(|b| b.to_json()),
+            "{what}: plan {k} postmortem"
+        );
+    }
+    (stats.forked_evaluations, stats.snapshot_builds)
+}
+
+#[test]
+fn forked_shrink_evaluations_match_fresh_ones() {
+    let (mut forked, mut builds) = (0, 0);
+    forall(
+        "forked_shrink_evaluations_match_fresh_ones",
+        8,
+        0x5EED_5A1E,
+        |rng| {
+            let threads = rng.gen_range(1..=2u32);
+            let program = kernel(
+                threads as usize,
+                rng.gen_range(20..=45u64),
+                rng.gen_range(3..=17u64) | 1,
+            );
+            let (program, slices, addrmap) = instrumented(&program, threads);
+            let machine = MachineConfig::with_cores(threads);
+            let cfg = CampaignConfig {
+                seed: rng.next_u64(),
+                count: rng.gen_range(1..=12u32),
+                kinds: FaultKindSet {
+                    reg: true,
+                    pc: true,
+                    mem: true,
+                    burst: false,
+                    stuck: false,
+                    crash: false,
+                },
+                num_checkpoints: rng.gen_range(3..=6u32),
+                recorder: rng.gen_range(0..=1u32) == 1,
+                ..CampaignConfig::default()
+            };
+            let dense = dense_fault_plan(&program, machine, &cfg).expect("plan generates");
+            // Random subsets of the dense plan with halved injection
+            // points, as ddmin and field narrowing produce them, in
+            // random order: fork points rise and fall.
+            let plans: Vec<Vec<Fault>> = (0..rng.gen_range(4..=9u32))
+                .map(|_| {
+                    let mut plan: Vec<Fault> = dense
+                        .iter()
+                        .filter(|_| rng.gen_range(0..=2u32) > 0)
+                        .copied()
+                        .collect();
+                    if plan.is_empty() {
+                        plan.push(dense[rng.gen_range(0..dense.len())]);
+                    }
+                    for f in &mut plan {
+                        for _ in 0..rng.gen_range(0..=3u32) {
+                            f.at_progress = (f.at_progress / 2).max(1);
+                        }
+                    }
+                    plan
+                })
+                .collect();
+            let what = format!("threads {threads}, {} plans", plans.len());
+            let acr = || AcrPolicy::new(Arc::clone(&slices), addrmap, threads as usize);
+            for (f, b) in [
+                shrink_evaluations_match(&program, machine, &cfg, &plans, acr, &what),
+                shrink_evaluations_match(&program, machine, &cfg, &plans, || NoOmission, &what),
+            ] {
+                forked += f;
+                builds += b;
+            }
+        },
+    );
+    assert!(
+        forked > 0 && builds > 0,
+        "the cache forked ({forked}) and built ({builds})"
     );
 }
 
